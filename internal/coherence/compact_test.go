@@ -17,7 +17,7 @@ func (h *holderSnooper) Snoop(p Probe) Reply                { h.probes++; return
 func (h *holderSnooper) HoldsLineState(l mem.LineAddr) bool { return h.holds[l] }
 
 func newHolderBus(n int) (*Bus, []*holderSnooper) {
-	b := NewBus(n)
+	b := NewBus(n, mem.DefaultGeometry)
 	hs := make([]*holderSnooper, n)
 	for i := range hs {
 		hs[i] = &holderSnooper{holds: make(map[mem.LineAddr]bool)}

@@ -373,7 +373,7 @@ func TestDenseBusMatchesMapReference(t *testing.T) {
 		{"filter-compacting", true, 8},
 	} {
 		t.Run(variant.name, func(t *testing.T) {
-			dense := NewBus(ncores)
+			dense := NewBus(ncores, mem.DefaultGeometry)
 			ref := newRefBus(ncores)
 			for c := 0; c < ncores; c++ {
 				dense.Register(c, &diffSnooper{id: c, drop: dense.Drop})

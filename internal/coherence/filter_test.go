@@ -1,6 +1,10 @@
 package coherence
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/mem"
+)
 
 // TestSnoopFilterSkipsUntouchedCores: with the filter on, a core that has
 // never issued a bus transaction for a line receives no probes for it,
@@ -78,7 +82,7 @@ func TestSnoopFilterOffDeliversEverywhere(t *testing.T) {
 // filter the same way the broadcast does (an untouched checker can never
 // hold conflicting state).
 func TestSnoopFilterWouldConflict(t *testing.T) {
-	b := NewBus(2)
+	b := NewBus(2, mem.DefaultGeometry)
 	b.EnableSnoopFilter()
 	always := &conflictingSnooper{conflicts: true}
 	b.Register(1, always)
@@ -95,7 +99,7 @@ func TestSnoopFilterWouldConflict(t *testing.T) {
 // mask; wider buses silently keep the filter off rather than filtering
 // incorrectly.
 func TestSnoopFilterDisabledBeyondMaskWidth(t *testing.T) {
-	b := NewBus(65)
+	b := NewBus(65, mem.DefaultGeometry)
 	b.EnableSnoopFilter()
 	rec := &recorder{}
 	b.Register(64, rec)

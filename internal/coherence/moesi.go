@@ -213,16 +213,16 @@ type Bus struct {
 // resident working set rather than the whole trace history.
 const DefaultFilterCompactionInterval = 1 << 16
 
-// NewBus creates a bus for ncores cores. Snoopers are registered afterwards
-// (the ASF engines need the bus to exist first).
-func NewBus(ncores int) *Bus {
+// NewBus creates a bus for ncores cores and lines of geometry g. Snoopers
+// are registered afterwards (the ASF engines need the bus to exist first).
+func NewBus(ncores int, g mem.Geometry) *Bus {
 	if ncores <= 0 {
 		panic("coherence: NewBus with ncores <= 0")
 	}
 	return &Bus{
 		ncores:   ncores,
 		snoopers: make([]Snooper, ncores),
-		lines:    mem.NewLineIndexer(),
+		lines:    mem.NewLineIndexer(g),
 		nsubs:    1,
 		epoch:    1,
 	}

@@ -21,7 +21,7 @@ func (r *recorder) Snoop(p Probe) Reply {
 }
 
 func newTestBus(n int) (*Bus, []*recorder) {
-	b := NewBus(n)
+	b := NewBus(n, mem.DefaultGeometry)
 	recs := make([]*recorder, n)
 	for i := range recs {
 		recs[i] = &recorder{}
@@ -331,7 +331,7 @@ func TestBusWouldConflictPreCheck(t *testing.T) {
 	// Direct exercise of the holder-wins pre-check plumbing: a snooper
 	// implementing ConflictChecker is consulted, one that does not is
 	// skipped, and no state changes.
-	b := NewBus(3)
+	b := NewBus(3, mem.DefaultGeometry)
 	ck := &checkerSnooper{conflict: false}
 	b.Register(1, ck)
 	b.Register(2, &recorder{}) // plain snooper: ignored by the pre-check
@@ -388,7 +388,7 @@ func TestInvariantCheckVariants(t *testing.T) {
 }
 
 func TestBusMisc(t *testing.T) {
-	b := NewBus(4)
+	b := NewBus(4, mem.DefaultGeometry)
 	if b.NumCores() != 4 {
 		t.Fatal("NumCores wrong")
 	}
@@ -405,5 +405,5 @@ func TestBusMisc(t *testing.T) {
 			t.Fatal("NewBus(0) did not panic")
 		}
 	}()
-	NewBus(0)
+	NewBus(0, mem.DefaultGeometry)
 }

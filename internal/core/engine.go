@@ -175,11 +175,10 @@ func NewEngine(id int, cfg Config, bus *coherence.Bus, hier *cache.Hierarchy, ho
 // Reset returns the engine to its just-constructed state under a (possibly
 // different) normalized cfg, reusing all storage. The caller must have
 // reset the shared bus/indexer first; the engine's dense entries die via
-// the epoch bump. Must not be called with a transaction in flight.
+// the epoch bump. An attempt still in flight (its run was stopped
+// mid-transaction) is dropped with them.
 func (e *Engine) Reset(cfg Config, hooks Hooks) {
-	if e.inTx {
-		panic(fmt.Sprintf("core: core %d Reset while in tx", e.id))
-	}
+	e.inTx = false
 	e.cfg = cfg
 	e.hook = hooks
 	e.Stats = Stats{}

@@ -22,7 +22,7 @@ func newRig(t *testing.T, n int, cfg Config) *testRig {
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	r := &testRig{bus: coherence.NewBus(n)}
+	r := &testRig{bus: coherence.NewBus(n, mem.DefaultGeometry)}
 	hooks := Hooks{OnConflict: func(c Conflict) { r.conflicts = append(r.conflicts, c) }}
 	for i := 0; i < n; i++ {
 		h := cache.NewHierarchy(cache.DefaultHierarchy())
@@ -416,7 +416,7 @@ func TestCapacityAbort(t *testing.T) {
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	bus := coherence.NewBus(1)
+	bus := coherence.NewBus(1, mem.DefaultGeometry)
 	hc := cache.DefaultHierarchy()
 	hc.L1 = cache.Config{Name: "L1", SizeBytes: 2 * 2 * 64, LineSize: 64, Assoc: 2, LatencyCyc: 3}
 	h := cache.NewHierarchy(hc)
@@ -573,7 +573,7 @@ func TestSpecAccessHooks(t *testing.T) {
 	var events int
 	cfg := Config{Mode: ModeBaseline}
 	_ = cfg.Normalize()
-	bus := coherence.NewBus(1)
+	bus := coherence.NewBus(1, mem.DefaultGeometry)
 	h := cache.NewHierarchy(cache.DefaultHierarchy())
 	e := NewEngine(0, cfg, bus, h, Hooks{
 		OnSpecAccess: func(core int, line mem.LineAddr, off, size int, write bool) { events++ },

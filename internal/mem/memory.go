@@ -9,37 +9,63 @@ import (
 // implementation detail invisible to callers.
 const pageSize = 1 << 12
 
+// memMaxPages bounds the page directory (the first 1 GiB of the address
+// space); pages beyond it live in a map.
+const memMaxPages = 1 << 18
+
 // Memory is the simulated physical memory: a sparse, paged byte store.
 // Workloads keep their real data here (accessed through the transactional
 // runtime), which is what lets tests assert functional correctness of the
 // transactional programs, not just timing.
 //
+// Pages are found through a direct table indexed by page number, grown on
+// first touch, so the hot path does no hashing; pages past the table's
+// reach fall back to a map, so any address works.
+//
 // Memory itself is not synchronized; the simulator is single-threaded at
 // any instant by construction.
 type Memory struct {
-	pages map[uint64]*[pageSize]byte
-	free  []*[pageSize]byte // zeroed pages recycled by Reset
+	dir      []*[pageSize]byte          // by page number, below memMaxPages
+	far      map[uint64]*[pageSize]byte // by page number, the rest
+	resident []uint64                   // page numbers in first-touch order
+	free     []*[pageSize]byte          // zeroed pages recycled by Reset
 }
 
 // NewMemory returns an empty memory. Unwritten bytes read as zero.
-func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint64]*[pageSize]byte)}
-}
+func NewMemory() *Memory { return &Memory{} }
 
 func (m *Memory) page(a Addr, create bool) (*[pageSize]byte, int) {
 	pn := uint64(a) / pageSize
-	p := m.pages[pn]
-	if p == nil && create {
-		if n := len(m.free); n > 0 {
-			p = m.free[n-1]
-			m.free[n-1] = nil
-			m.free = m.free[:n-1]
-		} else {
-			p = new([pageSize]byte)
-		}
-		m.pages[pn] = p
+	off := int(uint64(a) % pageSize)
+	var p *[pageSize]byte
+	if pn < uint64(len(m.dir)) {
+		p = m.dir[pn]
+	} else if pn >= memMaxPages {
+		p = m.far[pn]
 	}
-	return p, int(uint64(a) % pageSize)
+	if p != nil || !create {
+		return p, off
+	}
+	if n := len(m.free); n > 0 {
+		p = m.free[n-1]
+		m.free[n-1] = nil
+		m.free = m.free[:n-1]
+	} else {
+		p = new([pageSize]byte)
+	}
+	if pn < memMaxPages {
+		if pn >= uint64(len(m.dir)) {
+			m.dir = append(m.dir, make([]*[pageSize]byte, int(pn)+1-len(m.dir))...)
+		}
+		m.dir[pn] = p
+	} else {
+		if m.far == nil {
+			m.far = make(map[uint64]*[pageSize]byte)
+		}
+		m.far[pn] = p
+	}
+	m.resident = append(m.resident, pn)
+	return p, off
 }
 
 // Read copies len(dst) bytes starting at a into dst.
@@ -115,15 +141,23 @@ func (m *Memory) StoreUint(a Addr, size int, v uint64) {
 
 // Footprint returns the number of resident pages; used by tests to check
 // that workloads stay within expected bounds.
-func (m *Memory) Footprint() int { return len(m.pages) }
+func (m *Memory) Footprint() int { return len(m.resident) }
 
 // Reset returns the memory to the empty state (all bytes read as zero)
 // while recycling the page storage, so a reused machine does not
-// re-allocate its working set.
+// re-allocate its working set. Only the pages the run touched are visited.
 func (m *Memory) Reset() {
-	for pn, p := range m.pages {
+	for _, pn := range m.resident {
+		var p *[pageSize]byte
+		if pn < memMaxPages {
+			p = m.dir[pn]
+			m.dir[pn] = nil
+		} else {
+			p = m.far[pn]
+			delete(m.far, pn)
+		}
 		*p = [pageSize]byte{}
 		m.free = append(m.free, p)
-		delete(m.pages, pn)
 	}
+	m.resident = m.resident[:0]
 }

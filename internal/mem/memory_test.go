@@ -132,3 +132,35 @@ func TestMemoryVsMapModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMemoryFarPagesAndReset: addresses beyond the direct page table
+// (here up to 2^63) work like near ones, and Reset zeroes and recycles
+// both kinds.
+func TestMemoryFarPagesAndReset(t *testing.T) {
+	m := NewMemory()
+	addrs := []Addr{0x40, 1 << 30, 1<<40 + 4090, 1 << 63}
+	for i, a := range addrs {
+		m.StoreUint(a, 8, uint64(i+1)*0x0101010101010101)
+	}
+	for i, a := range addrs {
+		if got := m.LoadUint(a, 8); got != uint64(i+1)*0x0101010101010101 {
+			t.Fatalf("%#x: read %#x", a, got)
+		}
+	}
+	if m.Footprint() != 5 { // the 1<<40+4090 store straddles two pages
+		t.Fatalf("footprint %d pages, want 5", m.Footprint())
+	}
+	m.Reset()
+	if m.Footprint() != 0 {
+		t.Fatalf("footprint %d pages after Reset", m.Footprint())
+	}
+	for _, a := range addrs {
+		if got := m.LoadUint(a, 8); got != 0 {
+			t.Fatalf("%#x: read %#x after Reset", a, got)
+		}
+	}
+	m.StoreUint(1<<40, 1, 7)
+	if len(m.free) != 4 {
+		t.Fatalf("%d pages recycled, want 4", len(m.free))
+	}
+}

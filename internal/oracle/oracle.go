@@ -65,7 +65,7 @@ type Footprint struct {
 // NewFootprint returns an empty footprint for the given geometry with a
 // private line index.
 func NewFootprint(g mem.Geometry) *Footprint {
-	return NewFootprintShared(g, mem.NewLineIndexer())
+	return NewFootprintShared(g, mem.NewLineIndexer(g))
 }
 
 // NewFootprintShared returns an empty footprint keyed by an existing line

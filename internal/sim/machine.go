@@ -3,11 +3,15 @@
 // deterministic thread scheduler and the transactional runtime that
 // workloads program against.
 //
-// Determinism contract: simulated threads are goroutines, but a strict
-// channel handshake guarantees exactly one runs at any instant; the
-// scheduler always resumes the thread with the smallest (wake-time, id)
-// pair. The same configuration and seed therefore produce bit-identical
-// results on every run.
+// Determinism contract: simulated threads are goroutines, but exactly one
+// runs at any instant. There is no scheduler goroutine: when a thread ends
+// a simulated operation it picks the next thread itself — always the
+// unfinished one with the smallest (wake-time, id) pair — and, unless that
+// is itself, wakes it through its resume channel and sleeps on its own.
+// Every switch is one channel handoff between the two threads involved, so
+// the Go scheduler decides nothing about the interleaving. The same
+// configuration and seed therefore produce bit-identical results on every
+// run, under any GOMAXPROCS.
 package sim
 
 import (
@@ -57,10 +61,10 @@ type Config struct {
 	MaxCycles int64
 
 	// Cancel, when non-nil, aborts the simulation with ErrCanceled once
-	// the channel is closed. The scheduler polls it between simulated
-	// operations, so cancellation is prompt (each op is microseconds of
-	// wall time) but never lands mid-operation — the machine's state stays
-	// consistent, it is simply abandoned. A run that is never canceled is
+	// the channel is closed. It is polled between simulated operations,
+	// so cancellation is prompt (each op is microseconds of wall time) but
+	// never lands mid-operation; the threads are unwound and the machine
+	// can be Reset for another run. A run that is never canceled is
 	// bit-identical to one with Cancel nil: the check draws no randomness
 	// and charges no simulated time.
 	Cancel <-chan struct{}
@@ -125,7 +129,16 @@ type Machine struct {
 
 	now int64 // simulated time of the op being executed
 
-	yieldCh chan yieldMsg
+	// done is how a run reports back to Execute: the last thread to finish
+	// sends on it, and so does every thread a stopped run unwinds.
+	done chan struct{}
+	// stopping is set, by the thread that ends the run early, when a run
+	// stops before all threads finish: MaxCycles, cancellation (err) or a
+	// thread panic (panicked). Parked threads woken while it is set unwind
+	// instead of running on.
+	stopping bool
+	err      error
+	panicked string
 
 	// Serial fallback lock (one word in its own line).
 	lockAddr mem.Addr
@@ -155,17 +168,6 @@ type Machine struct {
 	recorder *trace.Writer
 
 	executed bool
-	// clean records that the last Execute ran its scheduler to completion,
-	// so every worker goroutine has exited and the machine may be Reset and
-	// reused. An errored run (MaxCycles, cancellation) leaves goroutines
-	// parked on their resume channels and the machine permanently dirty.
-	clean bool
-}
-
-type yieldMsg struct {
-	t        *Thread
-	finished bool
-	panicked any
 }
 
 // normalizeConfig validates cfg and fills in its defaults, in place. It is
@@ -257,13 +259,13 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 
 	m := &Machine{
-		cfg:     cfg,
-		geom:    cfg.Core.Geom,
-		memory:  mem.NewMemory(),
-		bus:     coherence.NewBus(cfg.Cores),
-		root:    rng.New(cfg.Seed),
-		yieldCh: make(chan yieldMsg),
-		run:     newRunRecord(cfg),
+		cfg:    cfg,
+		geom:   cfg.Core.Geom,
+		memory: mem.NewMemory(),
+		bus:    coherence.NewBus(cfg.Cores, cfg.Core.Geom),
+		root:   rng.New(cfg.Seed),
+		done:   make(chan struct{}),
+		run:    newRunRecord(cfg),
 	}
 	m.alloc = mem.NewAllocator(m.geom, mem.Addr(m.geom.LineSize))
 	m.bus.SetSubBlocks(cfg.Core.Granules())
@@ -304,12 +306,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Reusable reports whether the machine can be Reset for another run: either
-// it never executed, or its last run finished cleanly (all worker
-// goroutines exited). Machines whose run errored out mid-flight hold parked
-// goroutines and must be discarded.
-func (m *Machine) Reusable() bool { return !m.executed || m.clean }
-
 // Reset rewinds an executed machine to the fresh-from-NewMachine state
 // under a (possibly different) configuration, reusing every arena the
 // machine already grew: pages, cache ways, the dense line tables, engines
@@ -319,22 +315,15 @@ func (m *Machine) Reusable() bool { return !m.executed || m.clean }
 // A reset machine is bit-identical to a fresh one: the root RNG is
 // reseeded, the line indexer is cleared so dense indices are re-assigned in
 // first-touch order, and the allocator restarts at the same base — the
-// next Execute draws exactly the sequence a new machine would.
+// next Execute draws exactly the sequence a new machine would. Any executed
+// machine can be reset, including one whose run errored or panicked:
+// Execute returns only after every worker goroutine has exited.
 func (m *Machine) Reset(cfg Config) error {
-	if !m.Reusable() {
-		return fmt.Errorf("sim: cannot reset a machine whose run did not finish cleanly")
-	}
 	if err := normalizeConfig(&cfg); err != nil {
 		return err
 	}
-	if cfg.Cores != m.cfg.Cores {
-		return fmt.Errorf("sim: reset with %d cores on a %d-core machine", cfg.Cores, m.cfg.Cores)
-	}
-	if cfg.Hier != m.cfg.Hier {
-		return fmt.Errorf("sim: reset cannot change the cache hierarchy")
-	}
-	if cfg.Core.Geom != m.cfg.Core.Geom {
-		return fmt.Errorf("sim: reset cannot change the line geometry")
+	if err := m.checkReset(cfg); err != nil {
+		return err
 	}
 
 	m.cfg = cfg
@@ -381,7 +370,23 @@ func (m *Machine) Reset(cfg Config) error {
 		return fmt.Errorf("sim: reset left dirty memory (lock word %#x)", got)
 	}
 	m.executed = false
-	m.clean = false
+	m.stopping, m.err, m.panicked = false, nil, ""
+	return nil
+}
+
+// checkReset reports whether the machine can be Reset under the
+// normalized cfg: the core count, cache hierarchy and line geometry are
+// structural.
+func (m *Machine) checkReset(cfg Config) error {
+	if cfg.Cores != m.cfg.Cores {
+		return fmt.Errorf("sim: reset with %d cores on a %d-core machine", cfg.Cores, m.cfg.Cores)
+	}
+	if cfg.Hier != m.cfg.Hier {
+		return fmt.Errorf("sim: reset cannot change the cache hierarchy")
+	}
+	if cfg.Core.Geom != m.cfg.Core.Geom {
+		return fmt.Errorf("sim: reset cannot change the line geometry")
+	}
 	return nil
 }
 
@@ -520,14 +525,16 @@ type Workload interface {
 }
 
 // Execute runs the workload to completion and returns the aggregated
-// statistics. A Machine runs one workload; Reset rewinds a cleanly
-// finished machine for another Execute.
+// statistics. A Machine runs one workload; Reset rewinds it for another
+// Execute. Execute returns only once every worker goroutine has exited,
+// also when the run errors (MaxCycles, cancellation); a panic in workload
+// code is re-raised here, on the caller's goroutine, after the other
+// threads have been unwound.
 func (m *Machine) Execute(w Workload) (*stats.Run, error) {
 	if m.executed {
 		return nil, fmt.Errorf("sim: machine already executed a workload")
 	}
 	m.executed = true
-	m.clean = false
 	m.run.Workload = w.Name()
 
 	w.Setup(m)
@@ -583,10 +590,28 @@ func (m *Machine) Execute(w Workload) (*stats.Run, error) {
 		go t.main(w.Run)
 	}
 
-	if err := m.schedule(); err != nil {
-		return m.run, err
+	// Start the first thread; from here on the threads hand control to
+	// each other until the last one finishes or one stops the run.
+	if first, err := m.schedule(); err != nil {
+		m.stop(err)
+	} else {
+		first.resume <- struct{}{}
+		<-m.done
 	}
-	m.clean = true
+	if m.stopping {
+		// Unwind every parked thread, one at a time, so none outlives the
+		// run (a parked goroutine would pin the whole machine).
+		for _, t := range m.threads {
+			if !t.finished {
+				t.resume <- struct{}{}
+				<-m.done
+			}
+		}
+		if m.panicked != "" {
+			panic(m.panicked)
+		}
+		return m.run, m.err
+	}
 
 	m.aggregate()
 	if err := m.ledger.Check(); err != nil {
@@ -598,60 +623,56 @@ func (m *Machine) Execute(w Workload) (*stats.Run, error) {
 	return m.run, nil
 }
 
-// schedule is the deterministic event loop: repeatedly resume the ready
-// thread with the smallest (wake, id) until all threads have finished.
-// It returns an error if the MaxCycles watchdog fires.
-func (m *Machine) schedule() error {
-	active := len(m.threads)
-	for active > 0 {
-		var next *Thread
-		for _, t := range m.threads {
-			if t.finished {
-				continue
-			}
-			if next == nil || t.wake < next.wake || (t.wake == next.wake && t.id < next.id) {
-				next = t
-			}
+// schedule picks the thread to run next: the unfinished thread with the
+// smallest (wake, id), or nil when every thread has finished. It is called
+// between operations by the thread that just ended one (and once by
+// Execute to start the run), and returns an error, instead of a thread,
+// if the run must stop: Config.Cancel fired or the MaxCycles watchdog
+// tripped.
+func (m *Machine) schedule() (*Thread, error) {
+	var next *Thread
+	active := 0
+	for _, t := range m.threads {
+		if t.finished {
+			continue
 		}
-		// Watchdog windows close strictly between ops: every boundary up to
-		// the next resume time is processed before the thread runs.
-		if w := m.cfg.Watchdog.Window; w > 0 {
-			for next.wake >= m.wd.windowEnd {
-				m.watchdogTick(m.wd.windowEnd)
-				m.wd.windowEnd += w
-			}
-		}
-		if m.cfg.Cancel != nil {
-			select {
-			case <-m.cfg.Cancel:
-				// Same deal as the MaxCycles path below: worker goroutines
-				// stay parked on their resume channels; the machine is
-				// single-use and about to be discarded.
-				return fmt.Errorf("%w at cycle %d with %d threads still running",
-					ErrCanceled, m.now, active)
-			default:
-			}
-		}
-		if m.cfg.MaxCycles > 0 && next.wake > m.cfg.MaxCycles {
-			// The workload is still running past the deadline. Threads are
-			// goroutines blocked on their resume channels; the process is
-			// about to report an error and the machine is single-use, so
-			// they are left parked (they hold no locks and cost no CPU).
-			return fmt.Errorf("sim: watchdog: simulation passed %d cycles with %d threads still running",
-				m.cfg.MaxCycles, active)
-		}
-		m.now = next.wake
-		next.resume <- struct{}{}
-		msg := <-m.yieldCh
-		if msg.finished {
-			msg.t.finished = true
-			active--
-			if msg.panicked != nil {
-				panic(fmt.Sprintf("sim: thread %d panicked: %v", msg.t.id, msg.panicked))
-			}
+		active++
+		if next == nil || t.wake < next.wake || (t.wake == next.wake && t.id < next.id) {
+			next = t
 		}
 	}
-	return nil
+	if next == nil {
+		return nil, nil
+	}
+	// Watchdog windows close strictly between ops: every boundary up to
+	// the next resume time is processed before the thread runs.
+	if w := m.cfg.Watchdog.Window; w > 0 {
+		for next.wake >= m.wd.windowEnd {
+			m.watchdogTick(m.wd.windowEnd)
+			m.wd.windowEnd += w
+		}
+	}
+	if m.cfg.Cancel != nil {
+		select {
+		case <-m.cfg.Cancel:
+			return nil, fmt.Errorf("%w at cycle %d with %d threads still running",
+				ErrCanceled, m.now, active)
+		default:
+		}
+	}
+	if m.cfg.MaxCycles > 0 && next.wake > m.cfg.MaxCycles {
+		return nil, fmt.Errorf("sim: watchdog: simulation passed %d cycles with %d threads still running",
+			m.cfg.MaxCycles, active)
+	}
+	m.now = next.wake
+	return next, nil
+}
+
+// stop ends the run early with err. Only the thread (or Execute) that
+// currently holds control calls it.
+func (m *Machine) stop(err error) {
+	m.stopping = true
+	m.err = err
 }
 
 // aggregate folds per-engine and bus statistics into the Run record.

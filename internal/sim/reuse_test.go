@@ -5,7 +5,11 @@ package sim_test
 import (
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -160,6 +164,50 @@ func TestMachinePoolMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestMachinePoolConcurrent shares one pool between goroutines, each
+// running the gauntlet in its own order: every pooled run must still match
+// its fresh-machine result, and the pool never holds more than
+// GOMAXPROCS machines.
+func TestMachinePoolConcurrent(t *testing.T) {
+	specs := reuseSpecs()
+	fresh := make([]*stats.Run, len(specs))
+	for i, s := range specs {
+		fresh[i] = runFresh(t, s)
+	}
+	var pool sim.MachinePool
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range specs {
+				i := (k + g) % len(specs)
+				w, err := workloads.New(specs[i].workload, workloads.ScaleTiny)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				m, err := pool.Get(specs[i].cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := m.Execute(w)
+				pool.Put(m)
+				if err != nil {
+					t.Errorf("%s: %v", specs[i].name, err)
+				} else if !reflect.DeepEqual(got, fresh[i]) {
+					t.Errorf("%s: pooled run on goroutine %d diverged from fresh machine", specs[i].name, g)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n, max := pool.Len(), runtime.GOMAXPROCS(0); n > max {
+		t.Errorf("pool holds %d machines, more than GOMAXPROCS %d", n, max)
+	}
+}
+
 // TestResetRejectsStructuralChanges: core count, hierarchy and geometry
 // are frozen at construction.
 func TestResetRejectsStructuralChanges(t *testing.T) {
@@ -179,55 +227,125 @@ func TestResetRejectsStructuralChanges(t *testing.T) {
 	}
 }
 
-// TestResetRefusesDirtyMachine: a run that errors out mid-flight (here via
-// MaxCycles) leaves worker goroutines parked, so the machine must refuse
-// to be reset or pooled.
-func TestResetRefusesDirtyMachine(t *testing.T) {
+// settledGoroutines waits briefly for exiting goroutines to disappear
+// from runtime.NumGoroutine and returns the count once it is back to want
+// or below (goroutines of earlier tests may still be exiting), or the last
+// count seen.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200 && n > want; i++ {
+		time.Sleep(5 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// cancelMidRun wraps a workload so that thread 3 closes the run's cancel
+// channel after 500 cycles of its own work, while the others are mid-run.
+type cancelMidRun struct {
+	sim.Workload
+	cancel chan struct{}
+}
+
+func (w cancelMidRun) Run(t *sim.Thread) {
+	if t.ID() == 3 {
+		t.Work(500)
+		close(w.cancel)
+	}
+	w.Workload.Run(t)
+}
+
+// TestErroredRunsAreReusable: a run stopped by the MaxCycles watchdog or
+// by cancellation mid-flight unwinds every worker goroutine before Execute
+// returns, and the machine it leaves behind resets to exactly a fresh
+// machine.
+func TestErroredRunsAreReusable(t *testing.T) {
 	cfg := baseCfg(1)
-	cfg.MaxCycles = 2000 // far too few for kmeans to finish
-	m, err := sim.NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := workloads.New("kmeans", workloads.ScaleTiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Execute(w); err == nil {
-		t.Fatal("expected the MaxCycles watchdog to fire")
-	}
-	if m.Reusable() {
-		t.Error("machine with parked goroutines reports Reusable")
-	}
-	if err := m.Reset(cfg); err == nil {
-		t.Error("reset accepted a dirty machine")
-	}
+	spec := runSpec{"baseline-kmeans", "kmeans", cfg}
+	fresh := runFresh(t, spec)
 
-	// A canceled run is dirty the same way.
-	cancel := make(chan struct{})
-	close(cancel)
-	cfg = baseCfg(1)
-	cfg.Cancel = cancel
-	m2, err := sim.NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
+	stopped := map[string]func() (sim.Config, sim.Workload){
+		"maxcycles": func() (sim.Config, sim.Workload) {
+			c := cfg
+			c.MaxCycles = 2000 // far too few for kmeans to finish
+			w, err := workloads.New("kmeans", workloads.ScaleTiny)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c, w
+		},
+		"canceled": func() (sim.Config, sim.Workload) {
+			c := cfg
+			cancel := make(chan struct{})
+			c.Cancel = cancel
+			w, err := workloads.New("kmeans", workloads.ScaleTiny)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c, cancelMidRun{w, cancel}
+		},
 	}
-	if _, err := m2.Execute(w); !errors.Is(err, sim.ErrCanceled) {
-		t.Fatalf("expected ErrCanceled, got %v", err)
+	for name, setup := range stopped {
+		t.Run(name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			c, w := setup()
+			m, err := sim.NewMachine(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = m.Execute(w)
+			if err == nil {
+				t.Fatal("expected the run to stop with an error")
+			}
+			if name == "canceled" && !errors.Is(err, sim.ErrCanceled) {
+				t.Fatalf("expected ErrCanceled, got %v", err)
+			}
+			if n := settledGoroutines(before); n > before {
+				t.Errorf("%d goroutines before the run, %d after", before, n)
+			}
+			if got := runReused(t, m, spec); !reflect.DeepEqual(got, fresh) {
+				t.Errorf("run on the reset machine diverged from a fresh machine")
+			}
+		})
 	}
-	if m2.Reusable() {
-		t.Error("canceled machine reports Reusable")
-	}
+}
 
-	// The pool silently refuses both.
-	var pool sim.MachinePool
-	pool.Put(m)
-	pool.Put(m2)
-	m3, err := pool.Get(baseCfg(1))
+// panicOnThree is a workload whose thread 3 panics while the others are
+// parked mid-run.
+type panicOnThree struct{}
+
+func (panicOnThree) Name() string                { return "panic-on-three" }
+func (panicOnThree) Description() string         { return "thread 3 panics mid-run" }
+func (panicOnThree) Setup(*sim.Machine)          {}
+func (panicOnThree) Validate(*sim.Machine) error { return nil }
+func (panicOnThree) Run(t *sim.Thread) {
+	for i := 0; i < 50; i++ {
+		t.Work(10)
+		if t.ID() == 3 && i == 20 {
+			panic("boom")
+		}
+	}
+}
+
+// TestThreadPanicSurfacesOnCaller: a workload panic is re-raised on the
+// Execute caller's goroutine, where it can be recovered, and no worker
+// goroutine outlives it.
+func TestThreadPanicSurfacesOnCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	m, err := sim.NewMachine(baseCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m3 == m || m3 == m2 {
-		t.Error("pool handed back a dirty machine")
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		m.Execute(panicOnThree{})
+	}()
+	msg, _ := got.(string)
+	if !strings.HasPrefix(msg, "sim: thread 3 panicked: boom") {
+		t.Fatalf("recovered %#v, want a sim: thread 3 panicked: boom message", got)
+	}
+	if n := settledGoroutines(before); n > before {
+		t.Errorf("%d goroutines before the run, %d after", before, n)
 	}
 }

@@ -14,8 +14,8 @@ import (
 // Thread is one simulated worker (pinned to the core with the same id).
 // Workload code runs on a thread and interacts with the machine only
 // through the Thread/Tx API; every such call advances the thread's
-// simulated time and yields to the scheduler, which is what produces the
-// deterministic timestamp-ordered interleaving.
+// simulated time and yields, which is what produces the deterministic
+// timestamp-ordered interleaving.
 type Thread struct {
 	id     int
 	m      *Machine
@@ -107,22 +107,75 @@ func (t *Thread) Machine() *Machine { return t.m }
 // Now returns the thread's current simulated time.
 func (t *Thread) Now() int64 { return t.wake }
 
-// main is the goroutine body: wait to be scheduled, run the workload,
-// report completion (or a panic) to the scheduler.
+// stopRun is the panic value that unwinds a thread when its run stops
+// early. Thread.main recovers it; attempt and runFallback re-panic it like
+// any other value that is not a txAbort.
+type stopRun struct{}
+
+// main is the goroutine body: wait to be scheduled, run the workload, then
+// hand control to the next thread (or report the end of the run). A
+// workload panic stops the run and is re-raised by Execute.
 func (t *Thread) main(body func(*Thread)) {
-	<-t.resume
+	m := t.m
 	var pval any
 	func() {
 		defer func() { pval = recover() }()
+		t.park()
 		body(t)
 	}()
-	t.m.yieldCh <- yieldMsg{t: t, finished: true, panicked: pval}
+	if _, ok := pval.(stopRun); ok {
+		m.done <- struct{}{}
+		return
+	}
+	t.finished = true
+	if pval != nil {
+		m.stopping = true
+		m.panicked = fmt.Sprintf("sim: thread %d panicked: %v", t.id, pval)
+		m.done <- struct{}{}
+		return
+	}
+	next, err := m.schedule()
+	switch {
+	case err != nil:
+		m.stop(err)
+		m.done <- struct{}{}
+	case next == nil: // the last thread finished
+		m.done <- struct{}{}
+	default:
+		next.resume <- struct{}{}
+	}
 }
 
-// yield hands control back to the scheduler and blocks until rescheduled.
+// yield ends the thread's current op: it picks the next thread itself and,
+// unless that is this thread again, hands control to it directly and sleeps
+// until resumed.
 func (t *Thread) yield() {
-	t.m.yieldCh <- yieldMsg{t: t}
+	m := t.m
+	if m.stopping {
+		// Only a deferred call of workload code, running while this thread
+		// unwinds a stopped run, gets here.
+		panic(stopRun{})
+	}
+	next, err := m.schedule()
+	if next == t {
+		return
+	}
+	if err != nil {
+		m.stop(err)
+		t.finished = true
+		panic(stopRun{})
+	}
+	next.resume <- struct{}{}
+	t.park()
+}
+
+// park blocks until the thread is resumed, and unwinds it if the run
+// stopped meanwhile.
+func (t *Thread) park() {
 	<-t.resume
+	if t.m.stopping {
+		panic(stopRun{})
+	}
 }
 
 // step charges lat cycles (attributed to the current bucket) and yields.
