@@ -299,9 +299,14 @@ func (c *Client) candidates(tgt target) []*endpoint {
 // 503, so routing there wastes an attempt). Followers are demoted, not
 // excluded — with every primary failed or ejected the request still
 // goes somewhere, because a follower may have been promoted since it
-// last answered, and a guess beats a guaranteed local error. Skipping
-// the preferred candidate counts as a failover.
+// last answered, and a guess beats a guaranteed local error. Once every
+// candidate has failed this request a new round begins: a transient
+// fault on each live endpoint must not pin the remaining attempts to a
+// dead one. Skipping the preferred candidate counts as a failover.
 func (c *Client) pick(candidates []*endpoint, failed map[*endpoint]bool) *endpoint {
+	if len(failed) == len(candidates) {
+		clear(failed)
+	}
 	now := c.opts.now()
 	chosen := candidates[0]
 	found := false

@@ -108,6 +108,43 @@ func TestClientRetries429(t *testing.T) {
 	}
 }
 
+// TestRetryRoundsRevisitLiveEndpoints: once every endpoint has failed
+// a request, the next attempt starts a new round over all of them — a
+// single transient 503 from each live endpoint must not leave the
+// remaining attempts pinned to the dead preferred one.
+func TestRetryRoundsRevisitLiveEndpoints(t *testing.T) {
+	var servers []*httptest.Server
+	var hits [3]atomic.Int32
+	for i := range hits {
+		i := i
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if hits[i].Add(1) == 1 {
+				w.WriteHeader(http.StatusServiceUnavailable)
+				fmt.Fprint(w, `{"error":"transient"}`)
+				return
+			}
+			json.NewEncoder(w).Encode(service.Health{Status: "ok"})
+		}))
+		defer ts.Close()
+		servers = append(servers, ts)
+	}
+	opts := fastOpts()
+	opts.MaxAttempts = 6
+	c := New(servers[0].URL+","+servers[1].URL+","+servers[2].URL, opts)
+
+	// Kill the endpoint keyless requests prefer.
+	dead := rank(c.endpoints, "")[0].base
+	for _, ts := range servers {
+		if ts.URL == dead {
+			ts.Close()
+		}
+	}
+
+	if _, err := c.Health(testCtx(t)); err != nil {
+		t.Fatalf("health with one endpoint dead and two flaky: %v", err)
+	}
+}
+
 // TestClientDoesNotRetry4xx: validation errors come straight back as
 // *APIError without burning retry attempts.
 func TestClientDoesNotRetry4xx(t *testing.T) {

@@ -36,14 +36,14 @@ func replicaSeed(t *testing.T) uint64 {
 // TestReplicaPromotionSoak is the warm-standby endgame: a primary
 // streams journal frames and settled results to a follower over a
 // channel that silently flips bytes in transit, a client collects a
-// figure matrix across both endpoints, and the primary is killed
-// mid-matrix. The follower — which must have detected and refused every
-// corrupted frame, re-fetching until clean copies arrived — is promoted
-// and finishes the matrix. The served figures must be byte-identical to
-// an in-process harness.Collect, every key that settled before the kill
-// must be served from replicated bytes without buying a single
-// duplicate simulated cycle, and the corruption counters must show the
-// integrity machinery actually fired.
+// figure matrix across both endpoints, and mid-matrix the replication
+// link is cut and the primary killed. The follower — which must have
+// detected and refused every corrupted frame, re-fetching until clean
+// copies arrived — is promoted and finishes the matrix. The served
+// figures must be byte-identical to an in-process harness.Collect,
+// every key that settled before the cut must be served from replicated
+// bytes without buying a single duplicate simulated cycle, and the
+// corruption counters must show the integrity machinery actually fired.
 func TestReplicaPromotionSoak(t *testing.T) {
 	seed := replicaSeed(t)
 	logf := chaosLog(t)
@@ -135,11 +135,11 @@ func TestReplicaPromotionSoak(t *testing.T) {
 		done <- matrixResult{m, err}
 	}()
 
-	// Kill the primary mid-matrix — but only once at least one settled
-	// result has survived the corrupting channel and landed in the
-	// follower's cache AND at least one payload-bearing response has
-	// actually been corrupted in transit, so promotion has both
-	// replicated state and a delivered fault to prove things about.
+	// Cut replication and kill the primary mid-matrix — but only once at
+	// least one settled result has survived the corrupting channel and
+	// landed in the follower's cache AND at least one payload-bearing
+	// response has actually been corrupted in transit, so promotion has
+	// both replicated state and a delivered fault to prove things about.
 	waitStart := time.Now()
 	for time.Since(waitStart) < 30*time.Second {
 		if primary.srv.Metrics().SimCyclesExecuted() > 0 && len(fsrv.Cache().Keys()) > 0 && ct.Flips() > 0 {
@@ -153,19 +153,34 @@ func TestReplicaPromotionSoak(t *testing.T) {
 	if ct.Flips() == 0 {
 		t.Fatal("corrupting transport never fired on a payload-bearing response")
 	}
-	fmt.Fprintf(logf, "killing primary (%s) with %d keys replicated\n", primary.addr, len(fsrv.Cache().Keys()))
-	primary.kill(t)
-	primary.checkCycleLedger(t, "post-kill")
 
-	// A warm standby does no simulation work.
-	if n := fsrv.Metrics().SimCyclesExecuted(); n != 0 {
-		t.Errorf("follower executed %d cycles while following, want 0", n)
+	// The link goes first, while the primary still serves the client.
+	// A batch fetched before the cut may still be in the follower's
+	// hands; the sync loop is sequential — fetch, apply, fetch — so once
+	// it has begun a request after the cut, everything the primary ever
+	// delivered has been applied and the replicated set is final.
+	ct.Sever()
+	severedAt := ct.Starts()
+	for drainStart := time.Now(); ct.Starts() == severedAt; {
+		if time.Since(drainStart) > 10*time.Second {
+			t.Fatal("follower sync loop never retried after the link was cut")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	// Everything replicated before promotion is settled state: serving
 	// it must never buy another cycle.
 	settledKeys := make(map[string]bool)
 	for _, k := range fsrv.Cache().Keys() {
 		settledKeys[k] = true
+	}
+
+	fmt.Fprintf(logf, "killing primary (%s) with %d keys replicated\n", primary.addr, len(settledKeys))
+	primary.kill(t)
+	primary.checkCycleLedger(t, "post-kill")
+
+	// A warm standby does no simulation work.
+	if n := fsrv.Metrics().SimCyclesExecuted(); n != 0 {
+		t.Errorf("follower executed %d cycles while following, want 0", n)
 	}
 
 	st, err := fsrv.Promote()

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -29,11 +30,16 @@ type CorruptingTransport struct {
 	// requests.
 	Rate float64
 
-	mu    sync.Mutex
-	r     *rng.Rand
-	flips uint64
-	logw  io.Writer
+	mu      sync.Mutex
+	r       *rng.Rand
+	flips   uint64
+	starts  uint64
+	severed bool
+	logw    io.Writer
 }
+
+// errSevered is every round trip's result once the link is cut.
+var errSevered = errors.New("chaos: replication link severed")
 
 // NewCorruptingTransport builds a seeded corrupting transport that
 // perturbs responses to /v1/replication/ paths. Events are logged one
@@ -52,7 +58,29 @@ func (t *CorruptingTransport) Flips() uint64 {
 	return t.flips
 }
 
+// Sever cuts the link: every round trip begun from now on fails. One
+// already in flight still completes.
+func (t *CorruptingTransport) Sever() {
+	t.mu.Lock()
+	t.severed = true
+	t.mu.Unlock()
+}
+
+// Starts returns the number of round trips begun, severed or not.
+func (t *CorruptingTransport) Starts() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.starts
+}
+
 func (t *CorruptingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	t.mu.Lock()
+	t.starts++
+	severed := t.severed
+	t.mu.Unlock()
+	if severed {
+		return nil, errSevered
+	}
 	inner := t.Inner
 	if inner == nil {
 		inner = http.DefaultTransport
