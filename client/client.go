@@ -57,9 +57,6 @@ type Options struct {
 	// from the server overrides the computed delay when larger.
 	Backoff backoff.Config
 
-	// PollInterval is the job-poll cadence for Wait (default 50ms).
-	PollInterval time.Duration
-
 	// Seed seeds the jitter source; 0 draws from the wall clock. Tests
 	// pin it for reproducible retry timing.
 	Seed uint64
@@ -123,9 +120,6 @@ func (o Options) withDefaults() Options {
 	if o.Backoff.BaseCycles == 0 && o.Backoff.MaxCycles == 0 {
 		o.Backoff = backoff.Config{BaseCycles: 50, MaxCycles: 5000, Jitter: 0.5}
 	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = 50 * time.Millisecond
-	}
 	if o.Seed == 0 {
 		o.Seed = uint64(time.Now().UnixNano())
 	}
@@ -176,8 +170,10 @@ var ErrKeyPoisoned = errors.New("client: cell's content address tripped the daem
 
 // ErrUnknownJob reports that the daemon does not know the polled job ID
 // — typically because it crashed and its restarted incarnation
-// compacted the job away. RunCell reacts by resubmitting the cell,
-// which is idempotent under content addressing.
+// compacted the job away, or because the ID was a cache hit, which is
+// not persisted — or that the ID now names a different cell (a
+// restarted daemon reissues IDs). RunCell reacts by resubmitting the
+// cell, which is idempotent under content addressing.
 var ErrUnknownJob = errors.New("client: job unknown to the daemon")
 
 // ErrNoEndpoints reports a client constructed with an empty URL list.
@@ -616,14 +612,19 @@ func (c *Client) submit(ctx context.Context, req service.JobRequest, trace strin
 
 // Job fetches one job's current view. An unknown ID is ErrUnknownJob.
 func (c *Client) Job(ctx context.Context, id string) (service.JobView, error) {
-	return c.jobOn(ctx, nil, id, "")
+	return c.jobOn(ctx, nil, id, 0, "")
 }
 
 // jobOn polls a job on a specific endpoint (nil = default routing; with
-// one endpoint the two are the same).
-func (c *Client) jobOn(ctx context.Context, ep *endpoint, id, trace string) (service.JobView, error) {
+// one endpoint the two are the same). A positive wait long-polls: the
+// daemon holds the answer until the job is terminal or wait expires.
+func (c *Client) jobOn(ctx context.Context, ep *endpoint, id string, wait time.Duration, trace string) (service.JobView, error) {
+	path := "/v1/jobs/" + id
+	if ms := wait.Milliseconds(); ms > 0 {
+		path += "?wait=" + strconv.FormatInt(ms, 10)
+	}
 	var view service.JobView
-	_, err := c.request(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &view, target{ep: ep, trace: trace})
+	_, err := c.request(ctx, http.MethodGet, path, nil, &view, target{ep: ep, trace: trace})
 	var ae *APIError
 	if errors.As(err, &ae) && ae.Status == http.StatusNotFound {
 		return view, fmt.Errorf("%w: %s", ErrUnknownJob, id)
@@ -667,39 +668,63 @@ func (c *Client) Health(ctx context.Context) (service.Health, error) {
 	return h, err
 }
 
-// Wait polls a job until it reaches a terminal state. ErrUnknownJob
-// surfaces immediately so the caller can resubmit.
+// Wait long-polls a job until it reaches a terminal state.
+// ErrUnknownJob surfaces immediately so the caller can resubmit.
 func (c *Client) Wait(ctx context.Context, id string) (service.JobView, error) {
-	return c.waitOn(ctx, nil, id, "")
+	return c.waitOn(ctx, nil, service.JobView{ID: id}, "")
 }
 
-// waitOn is Wait pinned to the endpoint that accepted the job.
-func (c *Client) waitOn(ctx context.Context, ep *endpoint, id, trace string) (service.JobView, error) {
-	for {
-		view, err := c.jobOn(ctx, ep, id, trace)
+func terminal(st service.JobState) bool {
+	return st == service.JobDone || st == service.JobFailed || st == service.JobCanceled
+}
+
+// waitOn is Wait pinned to the endpoint that accepted the job, starting
+// from the view the submission returned: a terminal view is returned as
+// is, with no request. Each poll asks the daemon to hold its answer for
+// half a request timeout (less if ctx ends sooner); a non-terminal
+// answer after the full wait is re-polled at once. One that comes back
+// early means the daemon is stopping, so the next poll waits a backoff
+// delay first. A polled view naming a different cell than the submitted
+// one means a restarted daemon reissued the ID: that is ErrUnknownJob.
+func (c *Client) waitOn(ctx context.Context, ep *endpoint, view service.JobView, trace string) (service.JobView, error) {
+	early := 0
+	for !terminal(view.State) {
+		wait := c.opts.RequestTimeout / 2
+		if dl, ok := ctx.Deadline(); ok {
+			wait = min(wait, time.Until(dl))
+		}
+		sent := time.Now()
+		polled, err := c.jobOn(ctx, ep, view.ID, wait, trace)
 		if err != nil {
-			return view, err
+			return polled, err
 		}
-		switch view.State {
-		case service.JobDone, service.JobFailed, service.JobCanceled:
-			return view, nil
+		if view.Key != "" && polled.Key != view.Key {
+			return polled, fmt.Errorf("%w: %s now names another cell", ErrUnknownJob, view.ID)
 		}
+		view = polled
+		if terminal(view.State) || time.Since(sent) >= wait {
+			early = 0
+			continue
+		}
+		early++
 		select {
-		case <-time.After(c.opts.PollInterval):
+		case <-time.After(c.delay(early)):
 		case <-ctx.Done():
 			return view, ctx.Err()
 		}
 	}
+	return view, nil
 }
 
-// RunCell runs one cell to completion: submit, wait, decode. If the
+// RunCell runs one cell to completion: submit, wait, decode — one
+// request for a cache hit, a submit and a long-poll for a miss. If the
 // serving daemon forgets the job mid-wait (crash + restart compacted it
-// away) or stops answering entirely (killed; the poll is sticky, so
-// exhausted retries mean the server is gone, not slow), the cell is
-// resubmitted — idempotent under content addressing, and routed around
-// the dead endpoint — up to MaxAttempts times. A job that ends
-// "failed" or "canceled" is an error carrying the daemon's structured
-// error string.
+// away, or reissued its ID) or stops answering entirely (killed; the
+// poll is sticky, so exhausted retries mean the server is gone, not
+// slow), the cell is resubmitted — idempotent under content
+// addressing, and routed around the dead endpoint — up to MaxAttempts
+// times. A job that ends "failed" or "canceled" is an error carrying
+// the daemon's structured error string.
 func (c *Client) RunCell(ctx context.Context, req service.JobRequest) (*stats.Record, error) {
 	rec, _, err := c.RunCellTraced(ctx, req)
 	return rec, err
@@ -729,7 +754,7 @@ func (c *Client) runCell(ctx context.Context, req service.JobRequest, trace stri
 		if err != nil {
 			return nil, err
 		}
-		view, err = c.waitOn(ctx, ep, view.ID, trace)
+		view, err = c.waitOn(ctx, ep, view, trace)
 		if errors.Is(err, ErrUnknownJob) {
 			lastErr = err
 			continue // daemon restarted underneath us; resubmit

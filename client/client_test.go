@@ -1,13 +1,16 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,10 +26,9 @@ import (
 // backoff, pinned jitter seed.
 func fastOpts() Options {
 	return Options{
-		MaxAttempts:  4,
-		Backoff:      backoff.Config{BaseCycles: 1, MaxCycles: 4, Jitter: 0},
-		PollInterval: 2 * time.Millisecond,
-		Seed:         1,
+		MaxAttempts: 4,
+		Backoff:     backoff.Config{BaseCycles: 1, MaxCycles: 4, Jitter: 0},
+		Seed:        1,
 	}
 }
 
@@ -216,6 +218,155 @@ func TestRunCellResubmitsAfterRestart(t *testing.T) {
 	}
 	if rec.Workload != "kmeans" || posts.Load() != 2 {
 		t.Fatalf("record %+v after %d submissions, want kmeans after 2", rec, posts.Load())
+	}
+}
+
+// countingTransport counts the requests a client sends, by method, and
+// closes polled when the first GET goes out.
+type countingTransport struct {
+	posts, gets atomic.Int32
+	polledOnce  sync.Once
+	polled      chan struct{}
+}
+
+func (ct *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodGet {
+		ct.gets.Add(1)
+		ct.polledOnce.Do(func() { close(ct.polled) })
+	} else {
+		ct.posts.Add(1)
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestRunCellRoundTrips: a miss costs exactly a submit and one
+// long-poll, and a cache hit exactly one request — the submit, which
+// already carries the result.
+func TestRunCellRoundTrips(t *testing.T) {
+	ct := &countingTransport{polled: make(chan struct{})}
+	// The cell may not run until the client is polling: the submit sees
+	// it unfinished, so only a held poll can answer with one request.
+	s, err := service.New(service.Config{Workers: 1, BeforeRun: func(harness.CellSpec) {
+		select {
+		case <-ct.polled:
+		case <-time.After(10 * time.Second):
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Kill()
+
+	opts := fastOpts()
+	opts.HTTPClient = &http.Client{Transport: ct}
+	c := New(ts.URL, opts)
+	req := service.JobRequest{Workload: "kmeans", Detection: "subblock-4", Scale: "tiny"}
+	for _, want := range []struct {
+		name        string
+		posts, gets int32
+	}{{"miss", 1, 1}, {"hit", 1, 0}} {
+		ct.posts.Store(0)
+		ct.gets.Store(0)
+		if _, err := c.RunCell(testCtx(t), req); err != nil {
+			t.Fatalf("%s: %v", want.name, err)
+		}
+		if p, g := ct.posts.Load(), ct.gets.Load(); p != want.posts || g != want.gets {
+			t.Errorf("%s: %d submits + %d polls, want %d + %d", want.name, p, g, want.posts, want.gets)
+		}
+	}
+}
+
+// TestRunCellRejectsReissuedJobID: a daemon restarted under a waiting
+// client reissues job IDs, so the polled ID can name another cell. The
+// client must not return that cell's record: a view whose key differs
+// from the submitted one counts as an unknown job and is resubmitted.
+func TestRunCellRejectsReissuedJobID(t *testing.T) {
+	var posts atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			view := service.JobView{ID: "job-000000", Key: "kmeans-key", State: service.JobQueued}
+			if posts.Add(1) > 1 {
+				view.State, view.Result = service.JobDone, json.RawMessage(`{"workload":"kmeans"}`)
+			}
+			json.NewEncoder(w).Encode(service.SubmitResponse{Jobs: []service.JobView{view}})
+			return
+		}
+		// The restarted daemon gave job-000000 to a genome cell.
+		json.NewEncoder(w).Encode(service.JobView{
+			ID: "job-000000", Key: "genome-key", State: service.JobDone,
+			Result: json.RawMessage(`{"workload":"genome"}`),
+		})
+	}))
+	defer ts.Close()
+
+	rec, err := New(ts.URL, fastOpts()).RunCell(testCtx(t), service.JobRequest{Workload: "kmeans"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Workload != "kmeans" || posts.Load() != 2 {
+		t.Fatalf("record for %q after %d submissions, want kmeans after 2", rec.Workload, posts.Load())
+	}
+}
+
+// TestHitJobIDNotDurable: a cache hit is neither journaled nor
+// replicated, so a daemon restarted after serving one answers 404 for
+// its ID. The client resubmits and gets the same bytes as a free hit.
+func TestHitJobIDNotDurable(t *testing.T) {
+	dir := t.TempDir()
+	cfg := service.Config{
+		Workers:      1,
+		JournalPath:  filepath.Join(dir, "journal.wal"),
+		SnapshotPath: filepath.Join(dir, "cache.json"),
+	}
+	s, err := service.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	ctx := testCtx(t)
+	req := service.JobRequest{Workload: "kmeans", Detection: "subblock-4", Scale: "tiny"}
+	c := New(ts.URL, fastOpts())
+	if _, err := c.RunCell(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	hit, err := c.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.State != service.JobDone || !hit.CacheHit {
+		t.Fatalf("repeat submission: state %s, cacheHit %v", hit.State, hit.CacheHit)
+	}
+	ts.Close()
+	s.Kill()
+
+	s2, err := service.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	defer s2.Kill()
+	c2 := New(ts2.URL, fastOpts())
+	if _, err := c2.Wait(ctx, hit.ID); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("restarted daemon on the hit's ID %s: err = %v, want ErrUnknownJob", hit.ID, err)
+	}
+	if _, err := c2.RunCell(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	again, err := c2.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.CacheHit || !bytes.Equal(again.Result, hit.Result) {
+		t.Fatalf("resubmission: cacheHit %v, bytes equal %v", again.CacheHit, bytes.Equal(again.Result, hit.Result))
+	}
+	if n := s2.Metrics().SimCyclesExecuted(); n != 0 {
+		t.Fatalf("restarted daemon simulated %d cycles for a cached cell", n)
 	}
 }
 

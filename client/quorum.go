@@ -185,12 +185,9 @@ func (c *Client) voteOn(ctx context.Context, ep *endpoint, req service.JobReques
 	if len(resp.Jobs) != 1 {
 		return quorumVote{}, fmt.Errorf("client: daemon accepted %d jobs for one cell", len(resp.Jobs))
 	}
-	view := resp.Jobs[0]
-	if view.State != service.JobDone {
-		view, err = c.waitOn(ctx, ep, view.ID, trace)
-		if err != nil {
-			return quorumVote{}, err
-		}
+	view, err := c.waitOn(ctx, ep, resp.Jobs[0], trace)
+	if err != nil {
+		return quorumVote{}, err
 	}
 	switch view.State {
 	case service.JobDone:

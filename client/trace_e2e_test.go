@@ -47,9 +47,8 @@ func TestCollectMatrixTracedFleet(t *testing.T) {
 	}
 
 	c := New(bases, Options{
-		Seed:         0xCE11,
-		PollInterval: 5 * time.Millisecond,
-		Tracer:       obs.NewTracer(4096, nil),
+		Seed:   0xCE11,
+		Tracer: obs.NewTracer(4096, nil),
 	})
 
 	mopts := harness.Options{

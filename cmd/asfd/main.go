@@ -9,10 +9,15 @@
 //	curl -s -X POST localhost:8080/v1/jobs \
 //	    -H 'X-ASF-Trace: demo-0001' \
 //	    -d '{"workload":"kmeans","detection":"subblock-4","scale":"small"}'
-//	curl -s localhost:8080/v1/jobs/job-000000
+//	curl -s 'localhost:8080/v1/jobs/job-000000?wait=30000'
 //	curl -s localhost:8080/v1/traces/demo-0001
-//	curl -s 'localhost:8080/v1/matrix?workloads=kmeans,genome&detections=baseline,subblock-4&scale=tiny'
+//	curl -s -X POST localhost:8080/v1/jobs \
+//	    -d '{"matrix":{"workloads":["kmeans","genome"],"detections":["baseline","subblock-4"],"scale":"tiny"}}'
 //	curl -s localhost:8080/metrics
+//
+// The POST answers at once with the accepted job views (already "done"
+// with the result on a cache hit); GET /v1/jobs/{id}?wait=<ms> holds the
+// poll until the job is terminal or the wait (capped at 30 s) expires.
 //
 // Observability: the daemon records per-request spans into a bounded
 // in-memory ring (-trace-capacity; 0 disables), served via GET
@@ -61,7 +66,6 @@ func main() {
 	journal := flag.String("journal", "", "job journal path (crash-safe: accepted jobs are fsync'd and replayed on restart)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive failures of one cell before resubmissions get 422 (0 = default 3, negative disables)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-clock cap (0 = unlimited)")
-	maxSyncCells := flag.Int("max-sync-cells", 64, "largest matrix GET /v1/matrix runs synchronously")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "shutdown drain budget before in-flight jobs are canceled")
 	admissionTarget := flag.Duration("admission-target", 0, "adaptive admission control: target submit-to-done latency; the concurrency limit shrinks when observed latency exceeds it (0 = disabled)")
 	admissionMin := flag.Int("admission-min-limit", 0, "floor for the adaptive admission limit (0 = worker count); needs -admission-target")
@@ -74,7 +78,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof (empty disables)")
 	replicateFrom := flag.String("replicate-from", "", "primary base URL to follow as a warm standby (boots without workers; promote via POST /v1/replication/promote)")
 	replicationLagMax := flag.Int("replication-lag-max", 0, "/healthz reports \"lagging\" when the follower is more than this many records behind (0 disables)")
-	replLogCapacity := flag.Int("repl-log-capacity", 0, "in-memory replication log window, frames (0 = default 8192); followers behind the window re-sync from a snapshot")
+	replLogCapacity := flag.Int("repl-log-capacity", 0, "in-memory replication log window, frames (0 = -cache-entries); followers behind the window re-sync from a snapshot")
 	promoteOnStart := flag.Bool("promote-on-start", false, "boot as a standby (replaying the local journal and snapshot) and immediately promote to serving primary")
 	verifySnapshot := flag.Bool("verify-snapshot", false, "re-hash every cache snapshot entry's content digest on load, quarantining mismatches instead of serving them")
 	scrubInterval := flag.Duration("scrub-interval", 0, "background integrity scrub pass interval (0 disables the scrubber and the serve-path digest guard)")
@@ -105,7 +109,6 @@ func main() {
 		JournalPath:       *journal,
 		BreakerThreshold:  *breakerThreshold,
 		JobTimeout:        *jobTimeout,
-		MaxSyncCells:      *maxSyncCells,
 		AdmissionTarget:   *admissionTarget,
 		AdmissionMinLimit: *admissionMin,
 		AdmissionMaxLimit: *admissionMax,

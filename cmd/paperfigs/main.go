@@ -81,6 +81,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "paperfigs: unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
+	opts.Workloads = workloads.Names()
 	if *wls != "" {
 		opts.Workloads = strings.Split(*wls, ",")
 	}

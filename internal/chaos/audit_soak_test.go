@@ -58,7 +58,6 @@ func auditClient(t *testing.T, bases string, quorum int) *client.Client {
 		RequestTimeout: 10 * time.Second,
 		MaxAttempts:    4,
 		Backoff:        backoff.Config{BaseCycles: 5, MaxCycles: 50, Jitter: 0.3},
-		PollInterval:   2 * time.Millisecond,
 		EjectAfter:     3,
 		ProbeAfter:     30 * time.Second, // an ejected liar stays benched for the whole test
 		Quorum:         quorum,

@@ -223,7 +223,6 @@ func TestFleetSoak(t *testing.T) {
 		RequestTimeout:          time.Second,
 		MaxAttempts:             10,
 		Backoff:                 backoff.Config{BaseCycles: 5, MaxCycles: 100, Jitter: 0.3},
-		PollInterval:            10 * time.Millisecond,
 		Seed:                    seed,
 		HedgeDelay:              25 * time.Millisecond,
 		RetryBudget:             512,

@@ -116,7 +116,6 @@ func TestReplicaPromotionSoak(t *testing.T) {
 		RequestTimeout:          2 * time.Second,
 		MaxAttempts:             10,
 		Backoff:                 backoff.Config{BaseCycles: 5, MaxCycles: 100, Jitter: 0.3},
-		PollInterval:            10 * time.Millisecond,
 		Seed:                    seed,
 		RetryBudget:             512,
 		RetryBudgetRefillPerSec: 64,

@@ -100,7 +100,6 @@ func TestTracedHedgedKillResubmit(t *testing.T) {
 		RequestTimeout:          time.Second,
 		MaxAttempts:             6,
 		Backoff:                 backoff.Config{BaseCycles: 5, MaxCycles: 50, Jitter: 0.3},
-		PollInterval:            15 * time.Millisecond,
 		Seed:                    seed,
 		HedgeDelay:              5 * time.Millisecond,
 		RetryBudget:             512,

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
@@ -223,16 +224,30 @@ type snapshotFile struct {
 	Entries       []CacheEntry `json:"entries"`
 }
 
-// WriteSnapshot serializes the cache contents to w.
+// WriteSnapshot serializes the cache contents to w, in the encoding of
+// snapshotFile. Entries are encoded one at a time, so writing a full
+// cache costs one entry's encoding in memory, not the whole document.
 func (c *Cache) WriteSnapshot(w io.Writer) error {
 	c.mu.Lock()
-	f := snapshotFile{SchemaVersion: keySchemaVersion}
+	entries := make([]CacheEntry, 0, c.ll.Len())
 	for el := c.ll.Back(); el != nil; el = el.Prev() {
-		f.Entries = append(f.Entries, *el.Value.(*CacheEntry))
+		entries = append(entries, *el.Value.(*CacheEntry))
 	}
 	c.mu.Unlock()
-	enc := json.NewEncoder(w)
-	return enc.Encode(&f)
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, `{"schemaVersion":%d,"entries":[`, keySchemaVersion)
+	for i := range entries {
+		b, err := json.Marshal(&entries[i])
+		if err != nil {
+			return err
+		}
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		bw.Write(b)
+	}
+	bw.WriteString("]}\n")
+	return bw.Flush()
 }
 
 // ReadSnapshot loads entries from a snapshot produced by WriteSnapshot,

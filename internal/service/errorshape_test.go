@@ -141,7 +141,7 @@ func TestErrorShapes(t *testing.T) {
 		map[string]string{"X-ASF-Deadline": time.Now().Add(-time.Minute).Format(time.RFC3339Nano)}))
 
 	// 400s: malformed JSON, unknown field, bad enum, bad priority, bad
-	// deadline, bad state filter, oversized synchronous matrix.
+	// deadline, bad state filter, bad long-poll wait.
 	checkErrorShape(t, "400 malformed JSON", post(t, ts.URL+"/v1/jobs", `{"workload":`, nil))
 	checkErrorShape(t, "400 unknown field", post(t, ts.URL+"/v1/jobs", `{"wurkload":"kmeans"}`, nil))
 	checkErrorShape(t, "400 bad detection", post(t, ts.URL+"/v1/jobs",
@@ -155,10 +155,10 @@ func TestErrorShapes(t *testing.T) {
 	} else {
 		checkErrorShape(t, "400 bad state filter", resp)
 	}
-	if resp, err := http.Get(ts.URL + "/v1/matrix?seeds=1,2,3,4,5,6,7,8,9,10"); err != nil {
+	if resp, err := http.Get(ts.URL + "/v1/jobs/job-000000?wait=bogus"); err != nil {
 		t.Fatal(err)
 	} else {
-		checkErrorShape(t, "400 matrix over sync cap", resp)
+		checkErrorShape(t, "400 bad long-poll wait", resp)
 	}
 
 	// 404s: unknown job, poll and cancel.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	asfsim "repro"
@@ -202,8 +201,8 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 //	POST /v1/jobs             submit one cell or a matrix sweep (async, 202)
 //	GET  /v1/jobs             list retained jobs (?state= filters; results omitted)
 //	GET  /v1/jobs/{id}        poll one job; includes the result when done
+//	                          (?wait=ms long-polls until it is terminal)
 //	POST /v1/jobs/{id}/cancel abort a queued or running job
-//	GET  /v1/matrix           run a small sweep synchronously
 //	GET  /v1/traces           per-trace summaries, slowest first (?min_ms= filters)
 //	GET  /v1/traces/{id}      every retained span for one trace ID
 //	GET  /v1/metrics/history  load-gauge time series (ring of sampled points)
@@ -224,7 +223,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs", s.handleJobs)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleCancel)
-	mux.HandleFunc("GET /v1/matrix", s.handleMatrix)
 	mux.HandleFunc("GET /v1/traces", s.handleTraces)
 	mux.HandleFunc("GET /v1/traces/{id}", s.handleTrace)
 	mux.HandleFunc("GET /v1/metrics/history", s.handleHistory)
@@ -339,7 +337,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		view, _ := s.Lookup(job.ID)
 		resp.Jobs = append(resp.Jobs, view)
 	}
+	start := time.Now()
 	writeJSON(w, http.StatusAccepted, resp)
+	// A cache hit is answered here, with no poll after it: the respond
+	// stage must close on this path too.
+	s.responded(opts.Trace, start, "jobs", strconv.Itoa(len(resp.Jobs)))
 }
 
 func submitErrorStatus(err error) int {
@@ -385,109 +387,67 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
+// maxWait caps a long-poll's ?wait, so a held request always ends
+// well inside common proxy and client timeouts.
+const maxWait = 30 * time.Second
+
+// parseWait reads a ?wait long-poll bound: a whole number of
+// milliseconds, capped at maxWait. Empty means no wait.
+func parseWait(v string) (time.Duration, error) {
+	if v == "" {
+		return 0, nil
+	}
+	ms, err := strconv.Atoi(v)
+	if err != nil || ms < 0 {
+		return 0, fmt.Errorf("bad wait %s", v)
+	}
+	return min(time.Duration(ms)*time.Millisecond, maxWait), nil
+}
+
+// handleJob serves GET /v1/jobs/{id}. With ?wait=ms it long-polls: the
+// response is held, without the server lock, until the job is terminal,
+// the wait expires, the client goes away, or the daemon starts
+// stopping, and then carries the job's current view.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	wait, err := parseWait(r.URL.Query().Get("wait"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	id := r.PathValue("id")
+	s.mu.Lock()
+	job, ok := s.jobs[id]
+	s.mu.Unlock()
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown job "+id)
+		return
+	}
+	if wait > 0 {
+		timer := time.NewTimer(wait)
+		select {
+		case <-job.Done:
+		case <-timer.C:
+		case <-r.Context().Done():
+		case <-s.stopping: // closed before any s.kill
+		}
+		timer.Stop()
+	}
+	start := time.Now()
 	view, ok := s.Lookup(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job "+id)
 		return
 	}
 	writeJSON(w, http.StatusOK, view)
+	s.responded(r.Header.Get("X-ASF-Trace"), start, "job", id, "state", string(view.State))
+}
+
+// responded closes out the respond stage: wall time into the histogram
+// always, and a "respond" span when the request is traced.
+func (s *Server) responded(trace string, start time.Time, attrs ...string) {
 	d := time.Since(start)
 	s.stages.respond.Observe(d)
-	s.span(r.Header.Get("X-ASF-Trace"), "respond", start, d,
-		"job", id, "state", string(view.State))
-}
-
-// MatrixResponse is the synchronous sweep result.
-type MatrixResponse struct {
-	Cells []JobView `json:"cells"`
-}
-
-// handleMatrix runs a small sweep synchronously: expand, submit, wait
-// for every cell, respond with all results in request order. Axes come
-// from comma-separated query parameters (workloads, detections, seeds)
-// plus scale and cores.
-func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	opts, err := submitOpts(r, "")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	q := r.URL.Query()
-	mr := MatrixRequest{
-		Workloads:  splitList(q.Get("workloads")),
-		Detections: splitList(q.Get("detections")),
-		Scale:      q.Get("scale"),
-	}
-	for _, s := range splitList(q.Get("seeds")) {
-		seed, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad seed "+s)
-			return
-		}
-		mr.Seeds = append(mr.Seeds, seed)
-	}
-	if c := q.Get("cores"); c != "" {
-		cores, err := strconv.Atoi(c)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad cores "+c)
-			return
-		}
-		mr.Cores = cores
-	}
-
-	specs, err := mr.Specs()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(specs) > s.cfg.MaxSyncCells {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf(
-			"matrix has %d cells, over the synchronous cap of %d; submit it to POST /v1/jobs instead",
-			len(specs), s.cfg.MaxSyncCells))
-		return
-	}
-
-	jobs := make([]*Job, 0, len(specs))
-	for _, spec := range specs {
-		job, err := s.SubmitJob(spec, opts)
-		if err != nil {
-			// Cells already queued keep running and land in the cache, so
-			// the client's retry gets them for free.
-			writeError(w, submitErrorStatus(err), err.Error())
-			return
-		}
-		jobs = append(jobs, job)
-	}
-
-	resp := MatrixResponse{Cells: make([]JobView, 0, len(jobs))}
-	for _, job := range jobs {
-		select {
-		case <-job.Done:
-		case <-r.Context().Done():
-			writeError(w, http.StatusGatewayTimeout, "client gone before sweep finished")
-			return
-		}
-		view, _ := s.Lookup(job.ID)
-		resp.Cells = append(resp.Cells, view)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
+	s.span(trace, "respond", start, d, attrs...)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -115,7 +115,7 @@ func (s *Server) stopHistory() {
 }
 
 // Tracer exposes the server's trace ring (nil when tracing is off) —
-// used by tests and the fleet-soak artifact dump.
+// used by tests and the fleet soak's artifact dump.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // TraceResponse is the GET /v1/traces/{id} document: every retained

@@ -126,22 +126,21 @@ func (sn ReplSnapshot) verify() bool { return sn.CRC != 0 && sn.CRC == sn.comput
 
 // replLog is the primary's bounded in-memory replication log: a window
 // of CRC-stamped frames with monotone sequence numbers (starting at 1),
-// trimmed from the front at capacity. Followers that fall behind the
-// window re-sync from a snapshot. The log has its own lock and is safe
-// to append to while holding the server mutex.
+// kept in a ring that grows to capacity and then overwrites its oldest
+// frame. Followers that fall behind the window re-sync from a snapshot.
+// The log has its own lock and is safe to append to while holding the
+// server mutex.
 type replLog struct {
 	mu     sync.Mutex
 	cap    int
-	frames []ReplFrame
-	first  uint64        // seq of frames[0]
+	frames []ReplFrame   // ring storage; frames[head] holds seq first
+	head   int           // ring index of the oldest frame
+	first  uint64        // seq of the oldest frame
 	next   uint64        // next seq to assign
 	notify chan struct{} // closed and replaced on every append (long-poll wakeup)
 }
 
 func newReplLog(capacity int) *replLog {
-	if capacity <= 0 {
-		capacity = 8192
-	}
 	return &replLog{cap: capacity, first: 1, next: 1, notify: make(chan struct{})}
 }
 
@@ -152,12 +151,14 @@ func (l *replLog) append(rec journalRecord, entry *CacheEntry) {
 	l.mu.Lock()
 	f := ReplFrame{Seq: l.next, Record: rec, Entry: entry}
 	f.CRC = f.computeCRC()
-	l.frames = append(l.frames, f)
-	l.next++
-	if drop := len(l.frames) - l.cap; drop > 0 {
-		l.frames = append(l.frames[:0], l.frames[drop:]...)
-		l.first += uint64(drop)
+	if len(l.frames) < l.cap {
+		l.frames = append(l.frames, f)
+	} else {
+		l.frames[l.head] = f
+		l.head = (l.head + 1) % l.cap
+		l.first++
 	}
+	l.next++
 	ch := l.notify
 	l.notify = make(chan struct{})
 	l.mu.Unlock()
@@ -175,12 +176,10 @@ func (l *replLog) fetch(from uint64, max int) (frames []ReplFrame, first, next u
 	if from < first || from >= next {
 		return nil, first, next, notify
 	}
-	i := int(from - l.first)
-	j := len(l.frames)
-	if j-i > max {
-		j = i + max
-	}
-	frames = append([]ReplFrame(nil), l.frames[i:j]...)
+	frames = make([]ReplFrame, min(int(next-from), max))
+	i := (l.head + int(from-first)) % len(l.frames)
+	n := copy(frames, l.frames[i:])
+	copy(frames[n:], l.frames)
 	return frames, first, next, notify
 }
 
@@ -461,13 +460,6 @@ func (s *Server) applyFrameLocked(f ReplFrame) {
 		// pending — if the primary dies before the done record arrives,
 		// promotion re-enqueues it.
 	case opDone:
-		if !known && rec.Cell != nil {
-			// Combined accept+done record (cache-hit submission): register
-			// it terminal directly.
-			rj := ReplJob{ID: rec.ID, Key: rec.Key, Cell: rec.Cell}
-			s.applyPendingJobLocked(rj)
-			job, known = s.jobs[rec.ID]
-		}
 		if known && !job.State.terminal() {
 			job.State = JobDone
 			job.CacheHit = true
@@ -612,17 +604,10 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 		}
 		from = n
 	}
-	var wait time.Duration
-	if v := q.Get("wait"); v != "" {
-		ms, err := strconv.Atoi(v)
-		if err != nil || ms < 0 {
-			writeError(w, http.StatusBadRequest, "bad wait "+v)
-			return
-		}
-		wait = time.Duration(ms) * time.Millisecond
-		if wait > 30*time.Second {
-			wait = 30 * time.Second
-		}
+	wait, err := parseWait(q.Get("wait"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	max := 512
 	if v := q.Get("max"); v != "" {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -249,6 +250,36 @@ func TestReplicationGapAndSnapshotResync(t *testing.T) {
 	}
 }
 
+// TestReplLogRingWrap: once the window is full the log overwrites its
+// oldest frame in place. Fetches that straddle the ring's wrap still
+// return consecutive, CRC-valid frames cut to max, and a cursor behind
+// the window gets nothing (snapshot re-sync).
+func TestReplLogRingWrap(t *testing.T) {
+	log := newReplLog(4)
+	for i := 0; i < 10; i++ {
+		log.append(journalRecord{Op: opStarted, ID: fmt.Sprintf("job-%06d", i+1)}, nil)
+	}
+	if frames, first, next, _ := log.fetch(1, 512); frames != nil || first != 7 || next != 11 {
+		t.Fatalf("fetch behind the window: %d frames, first %d, next %d; want none, 7, 11", len(frames), first, next)
+	}
+	for from := uint64(7); from < 11; from++ {
+		for _, max := range []int{1, 2, 3, 512} {
+			frames, _, _, _ := log.fetch(from, max)
+			if want := min(int(11-from), max); len(frames) != want {
+				t.Fatalf("fetch(%d, %d): %d frames, want %d", from, max, len(frames), want)
+			}
+			for k, f := range frames {
+				if f.Seq != from+uint64(k) || f.Record.ID != fmt.Sprintf("job-%06d", f.Seq) || !f.verify() {
+					t.Fatalf("fetch(%d, %d)[%d] = seq %d id %s verify %v", from, max, k, f.Seq, f.Record.ID, f.verify())
+				}
+			}
+		}
+	}
+	if bad := log.verifyAll(); bad != 0 {
+		t.Fatalf("verifyAll: %d bad frames in an untouched window", bad)
+	}
+}
+
 // TestReplicationPartialBatchLag: a follower that applies only part of
 // the primary's log reports the remainder as lag, and a mid-stream gap
 // is refused.
@@ -342,7 +373,7 @@ func TestPromotionDisposesPendingCorrectly(t *testing.T) {
 		t.Fatalf("primary cache has no entry for %s", key1)
 	}
 
-	log := newReplLog(0)
+	log := newReplLog(64)
 	// job-000100: submitted then done — terminal, its entry settles key1.
 	log.append(journalRecord{Op: opSubmitted, ID: "job-000100", Key: key1, Cell: &cell1}, nil)
 	log.append(journalRecord{Op: opDone, ID: "job-000100", Key: key1}, entry)

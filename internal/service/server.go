@@ -82,14 +82,12 @@ type Config struct {
 	AdmissionMinLimit int
 	AdmissionMaxLimit int
 
-	// MaxSyncCells caps the matrix size GET /v1/matrix will run
-	// synchronously (default 64 cells); larger sweeps must go through
-	// the async POST /v1/jobs path.
-	MaxSyncCells int
-
-	// JobRetention bounds the completed-job table (default 4096).
-	// Oldest finished jobs are forgotten first; queued and running jobs
-	// are never evicted.
+	// JobRetention bounds the completed-job table (default
+	// CacheEntries). Oldest finished jobs are forgotten first; queued and
+	// running jobs are never evicted. A finished job kept past the
+	// cache's horizon would only pin result bytes the cache has already
+	// dropped, while a forgotten ID costs the client one resubmission,
+	// which is a free hit as long as the cell is still cached.
 	JobRetention int
 
 	// FS is the filesystem behind the journal and snapshot (default the
@@ -137,8 +135,12 @@ type Config struct {
 	ReplicationLagMax int
 
 	// ReplLogCapacity bounds the in-memory replication log the daemon
-	// streams to followers (default 8192 records). A follower that
-	// falls further behind re-syncs from a snapshot checkpoint.
+	// streams to followers (default CacheEntries records). A follower
+	// that falls further behind re-syncs from a snapshot checkpoint.
+	// A journaling follower fsyncs each streamed record, while a
+	// snapshot applies its at most CacheEntries entries with no journal
+	// writes, so past a cache's worth of records the snapshot is the
+	// faster re-sync.
 	ReplLogCapacity int
 
 	// HistoryInterval, when positive, samples the daemon's load gauges
@@ -192,11 +194,11 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 1024
 	}
-	if c.MaxSyncCells <= 0 {
-		c.MaxSyncCells = 64
-	}
 	if c.JobRetention <= 0 {
-		c.JobRetention = 4096
+		c.JobRetention = c.CacheEntries
+	}
+	if c.ReplLogCapacity <= 0 {
+		c.ReplLogCapacity = c.CacheEntries
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 3
@@ -400,6 +402,10 @@ type Server struct {
 	kill     chan struct{}
 	killOnce sync.Once
 
+	// stopping is closed when the daemon starts draining (Shutdown or
+	// Kill), releasing long-polling job waits.
+	stopping chan struct{}
+
 	// flushStop ends the periodic snapshot flusher; flushDone is closed
 	// when it has exited.
 	flushStop chan struct{}
@@ -455,6 +461,7 @@ func New(cfg Config) (*Server, error) {
 		logger:        cfg.Logger,
 		start:         time.Now(),
 		kill:          make(chan struct{}),
+		stopping:      make(chan struct{}),
 		flushStop:     make(chan struct{}),
 		flushDone:     make(chan struct{}),
 		scrubStop:     make(chan struct{}),
@@ -880,13 +887,11 @@ func (s *Server) SubmitJob(spec harness.CellSpec, opts SubmitOpts) (*Job, error)
 		s.registerLocked(job)
 		s.metrics.incSubmitted()
 		s.metrics.incCompleted()
-		// One combined record: the job was accepted AND completed. Replay
-		// serves it straight from the snapshot; followers get the full
-		// entry so the settled key replicates with its digest.
-		cell := encodeCell(job.Spec)
-		rec := journalRecord{Op: opDone, ID: job.ID, Key: key, Cell: &cell}
-		s.appendLockedTimed(job.TraceID, rec)
-		s.replicate(rec, e)
+		// A hit settles nothing new: the run that produced the entry
+		// already journaled and replicated it. So the hit is neither
+		// journaled nor replicated, and its job ID does not survive a
+		// restart; a client that polls it there gets 404 and resubmits,
+		// which is another free hit.
 		s.admitted(opts.Trace, admStart, "cache-hit", job.ID)
 		return job, nil
 	}
@@ -1006,6 +1011,13 @@ func (s *Server) registerLocked(job *Job) {
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
 	for len(s.order) > s.cfg.JobRetention {
+		// The oldest job has almost always finished: drop it by
+		// reslicing, which keeps a full table O(1) per registration.
+		if j, ok := s.jobs[s.order[0]]; !ok || j.State.terminal() {
+			delete(s.jobs, s.order[0])
+			s.order = s.order[1:]
+			continue
+		}
 		evicted := false
 		for i, id := range s.order {
 			if j, ok := s.jobs[id]; ok && j.State.terminal() {
@@ -1479,6 +1491,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	s.draining = true
+	close(s.stopping)
 	// Safe to close under the lock: Submit only sends while holding it.
 	// A never-promoted follower has no queue (and no workers to stop).
 	if s.queue != nil {
@@ -1528,6 +1541,7 @@ func (s *Server) Kill() {
 		return
 	}
 	s.draining = true
+	close(s.stopping)
 	s.killed = true
 	j := s.journal
 	s.journal = nil // sever the WAL first: a dead process writes nothing

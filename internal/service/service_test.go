@@ -353,50 +353,6 @@ func TestSnapshotPersistence(t *testing.T) {
 	}
 }
 
-// TestMatrixSynchronous: GET /v1/matrix expands the axes, runs every
-// cell, and responds in deterministic workload-major order; a sweep over
-// the synchronous cap is refused with 400.
-func TestMatrixSynchronous(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 4, MaxSyncCells: 4})
-
-	resp, err := http.Get(ts.URL + "/v1/matrix?workloads=kmeans,genome&detections=baseline,subblock-4&scale=tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("matrix status %d", resp.StatusCode)
-	}
-	var mr MatrixResponse
-	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
-		t.Fatal(err)
-	}
-	if len(mr.Cells) != 4 {
-		t.Fatalf("matrix returned %d cells, want 4", len(mr.Cells))
-	}
-	wantOrder := []string{"kmeans/baseline", "kmeans/subblock-4", "genome/baseline", "genome/subblock-4"}
-	for i, cell := range mr.Cells {
-		if cell.State != JobDone {
-			t.Fatalf("cell %d ended %s (%s)", i, cell.State, cell.Error)
-		}
-		if got := cell.Workload + "/" + cell.Detection; got != wantOrder[i] {
-			t.Fatalf("cell %d is %s, want %s", i, got, wantOrder[i])
-		}
-		if len(cell.Result) == 0 {
-			t.Fatalf("cell %d has no result", i)
-		}
-	}
-
-	over, err := http.Get(ts.URL + "/v1/matrix?workloads=kmeans,genome,intruder&detections=baseline,subblock-4&scale=tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer over.Body.Close()
-	if over.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized matrix answered %d, want 400", over.StatusCode)
-	}
-}
-
 // TestValidationErrors: malformed cells are rejected with 400 through
 // the same parse/validation paths the CLIs use.
 func TestValidationErrors(t *testing.T) {

@@ -153,7 +153,7 @@ func TestDigestLedger(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Kill()
-	cl := client.New(ts.URL, client.Options{PollInterval: 5 * time.Millisecond})
+	cl := client.New(ts.URL, client.Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	ids := make([]string, len(served))
