@@ -5,7 +5,7 @@
 //
 // Quickstart:
 //
-//	asfd -addr :8080 -cache-snapshot /tmp/asfd.cache.json &
+//	asfd -addr :8080 -cache-snapshot /tmp/asfd.snapshot &
 //	curl -s -X POST localhost:8080/v1/jobs \
 //	    -H 'X-ASF-Trace: demo-0001' \
 //	    -d '{"workload":"kmeans","detection":"subblock-4","scale":"small"}'
@@ -30,12 +30,17 @@
 // running jobs finish (up to -drain-timeout, after which in-flight
 // simulations are canceled), and the cache snapshot is written.
 //
-// With -journal the daemon is crash-safe: every accepted job is written
-// to an fsync'd append-only journal before it is acknowledged, and on
-// restart the journal is replayed — completed cells are served from the
-// reloaded snapshot, unfinished ones are re-enqueued. Disk-write
-// failures degrade the daemon to memory-only operation (visible on
-// /healthz) instead of crashing it.
+// Everything the daemon persists or replicates is one CRC-framed record
+// log. -cache-snapshot holds a compacted segment of it (the cache's
+// results with their digests). With -journal the daemon is crash-safe:
+// every accepted job is written to the fsync'd append-only journal
+// before it is acknowledged, and every settled result follows it there;
+// on restart the snapshot and then the journal are replayed — settled
+// cells are served from the cache, unfinished ones are re-enqueued.
+// Every record is verified on load (frame CRC and result digest) and a
+// bad one is quarantined alone. Disk-write failures degrade the daemon
+// to memory-only operation (visible on /healthz) instead of crashing
+// it. -replicate-from streams the same records to a warm standby.
 package main
 
 import (
@@ -78,11 +83,8 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof (empty disables)")
 	replicateFrom := flag.String("replicate-from", "", "primary base URL to follow as a warm standby (boots without workers; promote via POST /v1/replication/promote)")
 	replicationLagMax := flag.Int("replication-lag-max", 0, "/healthz reports \"lagging\" when the follower is more than this many records behind (0 disables)")
-	replLogCapacity := flag.Int("repl-log-capacity", 0, "in-memory replication log window, frames (0 = -cache-entries); followers behind the window re-sync from a snapshot")
 	promoteOnStart := flag.Bool("promote-on-start", false, "boot as a standby (replaying the local journal and snapshot) and immediately promote to serving primary")
-	verifySnapshot := flag.Bool("verify-snapshot", false, "re-hash every cache snapshot entry's content digest on load, quarantining mismatches instead of serving them")
 	scrubInterval := flag.Duration("scrub-interval", 0, "background integrity scrub pass interval (0 disables the scrubber and the serve-path digest guard)")
-	scrubRate := flag.Int("scrub-rate", 0, "scrubber pacing, entries per second (0 = unpaced beyond idle-priority backoff); needs -scrub-interval")
 	auditSampleRate := flag.Float64("audit-sample-rate", 0, "fraction of scanned entries fully re-executed per scrub pass, 0..1 (rotates deterministically across passes)")
 	auditSeed := flag.Uint64("audit-seed", 0, "seed for the deterministic scrub walk order and re-execution sample (0 = default 1; pin for reproducible audits)")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "request body size cap in bytes; oversized submissions get 413 (0 = default 8 MiB, negative disables)")
@@ -117,11 +119,8 @@ func main() {
 		HistoryInterval:   *historyInterval,
 		HistoryCapacity:   *historyCapacity,
 		Following:         following,
-		VerifySnapshot:    *verifySnapshot,
 		ReplicationLagMax: *replicationLagMax,
-		ReplLogCapacity:   *replLogCapacity,
 		ScrubInterval:     *scrubInterval,
-		ScrubRate:         *scrubRate,
 		AuditSampleRate:   *auditSampleRate,
 		AuditSeed:         *auditSeed,
 		MaxBodyBytes:      *maxBodyBytes,
@@ -180,7 +179,7 @@ func main() {
 	}
 	if *scrubInterval > 0 {
 		logger.Info("integrity scrubber armed",
-			"interval", *scrubInterval, "rate", *scrubRate,
+			"interval", *scrubInterval,
 			"sampleRate", *auditSampleRate, "seed", *auditSeed)
 	}
 	if *debugAddr != "" {

@@ -11,6 +11,7 @@ package chaos
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"os"
 	"strings"
@@ -18,7 +19,7 @@ import (
 	"repro/internal/rng"
 )
 
-// resultMarker locates result payloads inside snapshot files and job
+// resultMarker locates result payloads inside snapshot records and job
 // responses; the first digit after it sits inside the recorded result
 // bytes, so flipping it breaks the entry's content digest and nothing
 // else.
@@ -59,29 +60,40 @@ func flipTargets(data []byte) []int {
 }
 
 // FlipSnapshotResults corrupts up to n distinct cache entries in the
-// snapshot file at path: for each selected entry, one digit inside its
-// stored result bytes is XOR'd with 1. The file stays valid JSON and
-// every selected entry's bytes stop matching its recorded digest.
-// Selection is seeded and deterministic. Returns how many entries were
-// actually flipped.
+// snapshot segment at path: for each selected done record, one digit
+// inside its stored result bytes is XOR'd with 1 and the line's frame
+// CRC is re-sealed over the damaged payload. That models corruption
+// that happened before the record was framed (bad memory on the writing
+// host): the frame still verifies, and only the entry's content digest
+// can tell — which is what the scrubber and the serve-path guard are on
+// trial for. Selection is seeded and deterministic. Returns how many
+// entries were actually flipped.
 func FlipSnapshotResults(path string, seed uint64, n int) (int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	offs := flipTargets(data)
-	if len(offs) == 0 {
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	var cand []int
+	for i, line := range lines {
+		if len(line) > 9 && len(flipTargets(line[9:])) > 0 {
+			cand = append(cand, i)
+		}
+	}
+	if len(cand) == 0 {
 		return 0, fmt.Errorf("chaos: no result payloads found in %s", path)
 	}
 	flipped := 0
-	for _, pi := range rng.New(seed).Perm(len(offs)) {
+	for _, pi := range rng.New(seed).Perm(len(cand)) {
 		if flipped == n {
 			break
 		}
-		data[offs[pi]] ^= 0x01
+		payload := bytes.TrimSuffix(lines[cand[pi]][9:], []byte("\n"))
+		payload[flipTargets(payload)[0]] ^= 0x01
+		lines[cand[pi]] = fmt.Appendf(nil, "%08x %s\n", crc32.ChecksumIEEE(payload), payload)
 		flipped++
 	}
-	return flipped, os.WriteFile(path, data, 0o644)
+	return flipped, os.WriteFile(path, bytes.Join(lines, nil), 0o644)
 }
 
 // FlipJournalLines corrupts up to n non-final lines of the framed

@@ -1,19 +1,19 @@
 // Package replica runs the follower half of asfd's warm-standby
-// replication: a sync loop that bootstraps from the primary's snapshot
-// checkpoint, then long-polls its journal stream and applies each
-// CRC-framed, digest-verified record batch into the local server.
+// replication: a sync loop that bootstraps from the primary's compacted
+// segment, then long-polls its record log and hands each response body
+// to the local server.
 //
 // The loop owns no correctness: every integrity check (frame CRC,
-// entry content digest, sequence continuity) lives in the service
-// layer's ApplyReplicatedBatch / ApplyReplicatedSnapshot, so a corrupt
-// or torn stream is refused there no matter who drives the sync. The
-// loop's job is steering — when to snapshot, when to retry, when to
-// stop (the server was promoted out from under it, or Stop was called).
+// entry content digest, segment trailer, sequence continuity) lives in
+// the service layer's ApplyReplicatedBatch / ApplyReplicatedSnapshot,
+// so a corrupt or torn stream is refused there no matter who drives the
+// sync. The loop's job is steering — when to snapshot, when to retry,
+// when to stop (the server was promoted out from under it, or Stop was
+// called).
 package replica
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -63,10 +63,8 @@ type Follower struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	mu        sync.Mutex
-	lastErr   error
-	batches   uint64
-	snapshots uint64
+	mu      sync.Mutex
+	lastErr error
 }
 
 // Start begins syncing from the primary and returns immediately. The
@@ -130,76 +128,42 @@ func (f *Follower) note(err error) {
 func (f *Follower) run(ctx context.Context) {
 	defer close(f.done)
 	srv, log := f.cfg.Server, f.cfg.Logger
-	for {
-		if ctx.Err() != nil {
-			return
-		}
+	for ctx.Err() == nil {
 		if !srv.Following() {
 			log.Info("replica sync loop exiting: server promoted")
 			return
 		}
-
 		// Self-healing: a follower cannot re-execute a cell, so when the
 		// local scrubber has quarantined entries the repair path is a
 		// fresh digest-verified snapshot from the primary.
-		if n := srv.AuditRepairPending(); n > 0 {
-			log.Info("audit repair pending, re-syncing from snapshot", "keys", n)
-			if serr := f.syncSnapshot(ctx); serr != nil {
-				if ctx.Err() != nil {
-					return
-				}
-				f.note(serr)
-				log.Warn("audit repair snapshot re-sync failed", "err", serr)
-				if !f.sleep(ctx) {
-					return
-				}
-				continue
-			}
+		resync := srv.AuditRepairPending() > 0
+		var err error
+		if !resync {
+			path := fmt.Sprintf("/v1/replication/stream?from=%d&wait=%d&max=%d",
+				srv.ReplNextApply(), f.cfg.Wait.Milliseconds(), f.cfg.MaxFrames)
+			// The request outlives the long-poll window by a margin, never
+			// hangs forever on a wedged primary.
+			_, err = f.fetch(ctx, path, f.cfg.Wait+10*time.Second, srv.ApplyReplicatedBatch)
+			resync = errors.Is(err, service.ErrReplGap)
 		}
-
-		batch, err := f.fetchBatch(ctx, srv.ReplNextApply())
-		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			f.note(err)
-			log.Warn("replication stream fetch failed", "err", err)
-			if !f.sleep(ctx) {
-				return
-			}
-			continue
+		if resync {
+			log.Info("re-syncing from snapshot",
+				"have", srv.ReplNextApply(), "repairPending", srv.AuditRepairPending())
+			err = f.syncSnapshot(ctx)
 		}
-
-		applied, err := srv.ApplyReplicatedBatch(*batch)
 		switch {
 		case err == nil:
 			f.note(nil)
-			if applied > 0 {
-				f.mu.Lock()
-				f.batches++
-				f.mu.Unlock()
-			}
-		case errors.Is(err, service.ErrReplGap):
-			log.Info("replication gap, re-syncing from snapshot",
-				"have", srv.ReplNextApply())
-			if serr := f.syncSnapshot(ctx); serr != nil {
-				if ctx.Err() != nil {
-					return
-				}
-				f.note(serr)
-				log.Warn("snapshot re-sync failed", "err", serr)
-				if !f.sleep(ctx) {
-					return
-				}
-			}
 		case errors.Is(err, service.ErrNotFollowing):
 			log.Info("replica sync loop exiting: server promoted")
 			return
+		case ctx.Err() != nil:
+			return
 		default:
-			// Corruption (or another refusal): nothing was applied, the
-			// cursor did not move — back off and re-fetch the same range.
+			// A transport failure or a refusal (corruption): nothing was
+			// applied, the cursor did not move — back off and re-fetch.
 			f.note(err)
-			log.Warn("replicated batch refused", "err", err)
+			log.Warn("replication sync failed", "err", err)
 			if !f.sleep(ctx) {
 				return
 			}
@@ -207,62 +171,33 @@ func (f *Follower) run(ctx context.Context) {
 	}
 }
 
-func (f *Follower) fetchBatch(ctx context.Context, from uint64) (*service.ReplBatch, error) {
-	url := fmt.Sprintf("%s/v1/replication/stream?from=%d&wait=%d&max=%d",
-		f.cfg.PrimaryURL, from, f.cfg.Wait.Milliseconds(), f.cfg.MaxFrames)
-	// The request outlives the long-poll window by a margin, never hangs
-	// forever on a wedged primary.
-	rctx, cancel := context.WithTimeout(ctx, f.cfg.Wait+10*time.Second)
+// fetch GETs path from the primary and passes the response body to
+// apply.
+func (f *Follower) fetch(ctx context.Context, path string, timeout time.Duration, apply func(io.Reader) (int, error)) (int, error) {
+	rctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, url, nil)
+	req, err := http.NewRequestWithContext(rctx, http.MethodGet, f.cfg.PrimaryURL+path, nil)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	resp, err := f.cfg.Client.Do(req)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("replica: stream: %s from %s", resp.Status, f.cfg.PrimaryURL)
+		return 0, fmt.Errorf("replica: %s from %s%s", resp.Status, f.cfg.PrimaryURL, path)
 	}
-	var batch service.ReplBatch
-	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
-		return nil, fmt.Errorf("replica: decoding stream batch: %w", err)
-	}
-	return &batch, nil
+	return apply(resp.Body)
 }
 
 func (f *Follower) syncSnapshot(ctx context.Context) error {
-	rctx, cancel := context.WithTimeout(ctx, 60*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet,
-		f.cfg.PrimaryURL+"/v1/replication/snapshot", nil)
+	applied, err := f.fetch(ctx, "/v1/replication/snapshot", 60*time.Second, f.cfg.Server.ApplyReplicatedSnapshot)
 	if err != nil {
 		return err
 	}
-	resp, err := f.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("replica: snapshot: %s from %s", resp.Status, f.cfg.PrimaryURL)
-	}
-	var snap service.ReplSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return fmt.Errorf("replica: decoding snapshot: %w", err)
-	}
-	applied, err := f.cfg.Server.ApplyReplicatedSnapshot(&snap)
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	f.snapshots++
-	f.mu.Unlock()
-	f.note(nil)
 	f.cfg.Logger.Info("snapshot re-sync applied",
-		"entries", strconv.Itoa(applied), "resumeSeq", strconv.FormatUint(snap.Seq, 10))
+		"entries", strconv.Itoa(applied), "resumeSeq", strconv.FormatUint(f.cfg.Server.ReplNextApply(), 10))
 	return nil
 }
 

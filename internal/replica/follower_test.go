@@ -79,11 +79,12 @@ func waitState(t *testing.T, ts *httptest.Server, id, want string) json.RawMessa
 // results itself.
 func TestFollowerSyncLoop(t *testing.T) {
 	// Primary with pre-existing history beyond a small log window — two
-	// settled cells outgrow four frames — so the follower's first
-	// contact is forced through the snapshot path. (The window is 4, not
-	// smaller, so that one live job's burst of frames can never outrun
+	// settled cells outgrow three records — so the follower's first
+	// contact is forced through the snapshot path. (The window is the
+	// cache's size, and 3, not smaller, so the cache holds all three
+	// cells of the test and one live job's two records can never outrun
 	// the tailing follower later in the test.)
-	primary, primaryTS := newServer(t, service.Config{Workers: 2, ReplLogCapacity: 4})
+	primary, primaryTS := newServer(t, service.Config{Workers: 2, CacheEntries: 3})
 	id1 := submit(t, primaryTS, `{"workload":"kmeans","detection":"subblock-4","scale":"tiny","seed":1}`)
 	wantResult := waitState(t, primaryTS, id1, "done")
 	idOld := submit(t, primaryTS, `{"workload":"kmeans","detection":"subblock-4","scale":"tiny","seed":42}`)

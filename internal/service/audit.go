@@ -5,13 +5,13 @@ package service
 //
 // The determinism contract — every result is a pure function of its
 // canonical cell — makes integrity cheap to prove and corruption cheap
-// to undo. The scrubber walks the cache and journal in deterministic
-// seeded order (internal/audit): a cheap pass re-hashes each entry
-// against its stored SHA-256 digest (catches at-rest bitrot in the
-// snapshot, journal, and replication frame-log), and an expensive pass
-// re-executes a rotating sampled fraction of entries through the
-// simulator and compares bytes (catches logic/state corruption a
-// digest cannot). A mismatch quarantines the entry (one JSON line in
+// to undo. The scrubber walks the cache in deterministic seeded order
+// (internal/audit): a cheap pass re-hashes each entry against its
+// stored SHA-256 digest and re-verifies the journal file and the
+// replication window line by line (catches at-rest bitrot), and an
+// expensive pass re-executes a rotating sampled fraction of entries
+// through the simulator and compares bytes (catches logic/state
+// corruption a digest cannot). A mismatch quarantines the entry (one JSON line in
 // <path>.audit-quarantine plus removal from the cache) and triggers
 // repair: a primary re-executes the cell locally — the recomputation
 // is byte-identical by contract — while a follower, which executes
@@ -28,6 +28,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -123,14 +124,10 @@ func (s *Server) scrubSleep(d time.Duration) bool {
 	}
 }
 
-// scrubYield paces the walk: the optional fixed per-entry budget
-// (ScrubRate), then deference to real work — while the pool has queued
-// or running jobs the scrubber backs off, but only up to a bound, so
-// sustained load cannot starve integrity checking forever.
-func (s *Server) scrubYield(pace time.Duration) {
-	if pace > 0 && !s.scrubSleep(pace) {
-		return
-	}
+// scrubYield paces the walk by deferring to real work: while the pool
+// has queued or running jobs the scrubber backs off, but only up to a
+// bound, so sustained load cannot starve integrity checking forever.
+func (s *Server) scrubYield() {
 	for waited := time.Duration(0); waited < 50*time.Millisecond; waited += 5 * time.Millisecond {
 		s.mu.Lock()
 		busy := len(s.queue) > 0 || s.running > 0
@@ -154,17 +151,13 @@ func (s *Server) ScrubPass() AuditPassReport {
 
 	rep := AuditPassReport{Pass: pass}
 	seed := s.cfg.AuditSeed
-	var pace time.Duration
-	if s.cfg.ScrubRate > 0 {
-		pace = time.Second / time.Duration(s.cfg.ScrubRate)
-	}
 	following := s.Following()
 
 	for _, key := range audit.Order(seed, pass, s.cache.Keys()) {
 		if s.scrubHalted() {
 			break
 		}
-		s.scrubYield(pace)
+		s.scrubYield()
 		vStart := time.Now()
 		e, outcome := s.cache.VerifyEntry(key)
 		switch outcome {
@@ -229,10 +222,11 @@ func (s *Server) ScrubPass() AuditPassReport {
 	}
 
 	s.scrubJournal(pass, &rep)
-	// Frame-log sweep is detect-only (in-memory frames cannot be
-	// rewritten in place) and reported per pass, not accumulated: the
-	// same bad frame would otherwise be re-counted every pass.
-	rep.ReplFramesBad = s.repl.verifyAll()
+	// The replication window sweep is detect-only (in-memory lines
+	// cannot be rewritten in place) and reported per pass, not
+	// accumulated: the same bad line would otherwise be re-counted every
+	// pass.
+	rep.ReplFramesBad = s.log.verifyAll()
 
 	dur := time.Since(start)
 	rep.DurationMs = dur.Milliseconds()
@@ -254,20 +248,14 @@ func (s *Server) ScrubPass() AuditPassReport {
 	return rep
 }
 
-// scrubJournal sweeps the on-disk journal for records whose frame CRC
-// no longer verifies — at-rest corruption the replay path would only
-// discover at the next boot. Repair is journal rotation: every settled
-// record is snapshot-covered and every live job is re-written from the
-// in-memory job table, so the corrupt lines are simply dropped.
+// scrubJournal sweeps the on-disk journal for records that no longer
+// verify — at-rest corruption the replay path would only discover at
+// the next boot. Repair is a Persist: the journal is rewritten from the
+// in-memory cache and job table, so the corrupt lines are simply
+// dropped.
 func (s *Server) scrubJournal(pass uint64, rep *AuditPassReport) {
-	if s.cfg.JournalPath == "" {
-		return
-	}
-	s.mu.Lock()
-	live := s.journal != nil
-	s.mu.Unlock()
-	if !live {
-		return // degraded or closed: no journal to scrub or repair
+	if !s.log.journaling() {
+		return // off, degraded or closed: no journal to scrub or repair
 	}
 	f, err := s.cfg.FS.Open(s.cfg.JournalPath)
 	if err != nil {
@@ -289,7 +277,7 @@ func (s *Server) scrubJournal(pass uint64, rep *AuditPassReport) {
 		if len(line) == 0 {
 			continue
 		}
-		if _, ok, stale := parseFrame(line); !ok && !stale {
+		if _, err := parseFrame(line); err != nil && !errors.Is(err, errStale) {
 			if i == last {
 				// A bad final line is the signature of a crash (or a racing
 				// append) mid-write, not at-rest corruption; replay already

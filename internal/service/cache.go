@@ -1,23 +1,12 @@
 package service
 
 import (
-	"bufio"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
-	"os"
 	"sync"
 )
-
-// ErrCorruptSnapshot reports that a snapshot file exists but does not
-// decode. The server quarantines such a file (rename to
-// <path>.corrupt-<timestamp>) and starts with an empty cache rather
-// than refusing to boot.
-var ErrCorruptSnapshot = errors.New("service: corrupt cache snapshot")
 
 // CacheEntry is one cached cell result: the canonical record JSON bytes
 // under the cell's content address. Results are stored and served as raw
@@ -30,15 +19,15 @@ type CacheEntry struct {
 	SimCycles int64           `json:"simCycles"`
 	Result    json.RawMessage `json:"result"`
 	// Digest is the hex SHA-256 of the result bytes, computed when the
-	// entry is stored. It rides in snapshots and replication frames so a
-	// reloading or replicating node can prove the bytes it is about to
-	// serve are the bytes that were computed.
+	// entry is stored. It rides in every done record (journal, snapshot,
+	// replication) so a reloading or replicating node can prove the bytes
+	// it is about to serve are the bytes that were computed.
 	Digest string `json:"digest,omitempty"`
 
 	// Cell is the canonical spec the result was computed from. It lets
 	// the audit scrubber fully re-execute a sampled entry (and repair a
-	// quarantined one) without consulting the journal. Entries loaded
-	// from pre-audit snapshots have no Cell and get digest-only scrubs.
+	// quarantined one) without consulting the journal. Entries stored
+	// without one get digest-only scrubs.
 	Cell *canonicalCell `json:"cell,omitempty"`
 }
 
@@ -49,9 +38,9 @@ func ResultDigest(result []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Cache is a bounded LRU of cell results, safe for concurrent use, with
-// JSON snapshot persistence (written on daemon shutdown, reloaded on
-// start) so a restarted asfd keeps its accumulated sweep results.
+// Cache is a bounded LRU of cell results, safe for concurrent use. The
+// server persists it as done records in a compacted log segment (the
+// cache snapshot), so a restarted asfd keeps its accumulated results.
 type Cache struct {
 	mu    sync.Mutex
 	max   int
@@ -191,7 +180,7 @@ func (c *Cache) Keys() []string {
 }
 
 // Entries returns a copy of every cached entry, least recently used
-// first (the same order snapshots use, so a reload or a replication
+// first (the order segments are written in, so a reload or a replication
 // sync rebuilds the same LRU order).
 func (c *Cache) Entries() []CacheEntry {
 	c.mu.Lock()
@@ -215,151 +204,4 @@ func (c *Cache) Counters() (hits, misses, evictions uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.evictions
-}
-
-// snapshotFile is the on-disk schema. Entries are ordered least to most
-// recently used so a reload rebuilds the same LRU order.
-type snapshotFile struct {
-	SchemaVersion int          `json:"schemaVersion"`
-	Entries       []CacheEntry `json:"entries"`
-}
-
-// WriteSnapshot serializes the cache contents to w, in the encoding of
-// snapshotFile. Entries are encoded one at a time, so writing a full
-// cache costs one entry's encoding in memory, not the whole document.
-func (c *Cache) WriteSnapshot(w io.Writer) error {
-	c.mu.Lock()
-	entries := make([]CacheEntry, 0, c.ll.Len())
-	for el := c.ll.Back(); el != nil; el = el.Prev() {
-		entries = append(entries, *el.Value.(*CacheEntry))
-	}
-	c.mu.Unlock()
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, `{"schemaVersion":%d,"entries":[`, keySchemaVersion)
-	for i := range entries {
-		b, err := json.Marshal(&entries[i])
-		if err != nil {
-			return err
-		}
-		if i > 0 {
-			bw.WriteByte(',')
-		}
-		bw.Write(b)
-	}
-	bw.WriteString("]}\n")
-	return bw.Flush()
-}
-
-// ReadSnapshot loads entries from a snapshot produced by WriteSnapshot,
-// subject to the current size bound. A snapshot written under a
-// different key schema is ignored wholesale: its addresses no longer
-// name the same computations.
-func (c *Cache) ReadSnapshot(r io.Reader) error {
-	var f snapshotFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
-	}
-	if f.SchemaVersion != keySchemaVersion {
-		return nil
-	}
-	for i := range f.Entries {
-		e := f.Entries[i]
-		c.Put(&e)
-	}
-	return nil
-}
-
-// SaveFile writes the snapshot atomically (temp file + rename) to path.
-func (c *Cache) SaveFile(path string) error { return c.SaveFileFS(OSFS{}, path) }
-
-// SaveFileFS is SaveFile over an explicit filesystem (the server passes
-// its configured FS so the chaos harness can inject write failures).
-// The temp file is fsync'd before the rename, so a crash straddling the
-// save leaves either the previous snapshot or the new one, never a
-// truncated file.
-func (c *Cache) SaveFileFS(fsys FS, path string) error {
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := c.WriteSnapshot(f); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return fsys.Rename(tmp, path)
-}
-
-// LoadFile reads a snapshot from path; a missing file is not an error
-// (first boot).
-func (c *Cache) LoadFile(path string) error { return c.LoadFileFS(OSFS{}, path) }
-
-// LoadFileFS is LoadFile over an explicit filesystem. A decode failure
-// is reported as (a wrap of) ErrCorruptSnapshot so the caller can
-// quarantine the file.
-func (c *Cache) LoadFileFS(fsys FS, path string) error {
-	_, err := c.LoadFileVerifiedFS(fsys, path, false)
-	return err
-}
-
-// LoadFileVerifiedFS is LoadFileFS with optional per-entry integrity
-// verification (-verify-snapshot): each entry's result bytes are
-// re-hashed against its recorded digest, and mismatching entries —
-// results silently corrupted at rest — are quarantined to
-// <path>.quarantine as JSON lines and never enter the cache. Entries
-// from pre-digest snapshots (no recorded digest) are accepted and
-// stamped on Put. Returns the number of entries quarantined.
-func (c *Cache) LoadFileVerifiedFS(fsys FS, path string, verify bool) (quarantined int, err error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	defer f.Close()
-
-	var snap snapshotFile
-	if err := json.NewDecoder(f).Decode(&snap); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
-	}
-	if snap.SchemaVersion != keySchemaVersion {
-		return 0, nil
-	}
-	var quarantine File
-	defer func() {
-		if quarantine != nil {
-			quarantine.Close()
-		}
-	}()
-	for i := range snap.Entries {
-		e := snap.Entries[i]
-		if verify && e.Digest != "" && ResultDigest(e.Result) != e.Digest {
-			if quarantine == nil {
-				q, qerr := fsys.Append(path + ".quarantine")
-				if qerr != nil {
-					return quarantined, fmt.Errorf("service: opening snapshot quarantine: %w", qerr)
-				}
-				quarantine = q
-			}
-			line, _ := json.Marshal(&e)
-			if _, werr := quarantine.Write(append(line, '\n')); werr != nil {
-				return quarantined, fmt.Errorf("service: writing snapshot quarantine: %w", werr)
-			}
-			quarantined++
-			continue
-		}
-		c.Put(&e)
-	}
-	return quarantined, nil
 }

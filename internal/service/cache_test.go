@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
@@ -52,27 +51,36 @@ func TestCacheKeepsFirstBytes(t *testing.T) {
 	}
 }
 
+// TestCacheSnapshotRoundTrip: Persist writes the cache as a compacted
+// segment and a daemon booted on it gets the same entries, bytes and
+// LRU order back. A missing snapshot is a clean first boot.
 func TestCacheSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "cache.json")
-
-	c := NewCache(8)
-	for i := 0; i < 5; i++ {
-		c.Put(entry(fmt.Sprintf("k%d", i), fmt.Sprintf(`{"i":%d}`, i)))
-	}
-	if err := c.SaveFile(path); err != nil {
+	cfg := Config{Workers: 1, CacheEntries: 8, SnapshotPath: filepath.Join(dir, "cache.snap")}
+	s, err := New(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	r := NewCache(8)
-	if err := r.LoadFile(path); err != nil {
+	for i := 0; i < 5; i++ {
+		s.Cache().Put(entry(fmt.Sprintf("k%d", i), fmt.Sprintf(`{"i":%d}`, i)))
+	}
+	s.Cache().Get("k1") // k1 becomes most recently used
+	if err := s.Persist(); err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 5 {
-		t.Fatalf("reloaded %d entries, want 5", r.Len())
+	want := s.Cache().Keys()
+	s.Kill()
+
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Kill()
+	if got := r.Cache().Keys(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("reloaded keys %v, want %v (same LRU order)", got, want)
 	}
 	for i := 0; i < 5; i++ {
-		e, ok := r.Get(fmt.Sprintf("k%d", i))
+		e, ok := r.Cache().Get(fmt.Sprintf("k%d", i))
 		if !ok {
 			t.Fatalf("k%d missing after reload", i)
 		}
@@ -82,31 +90,40 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// Missing file: clean first boot, not an error.
-	if err := NewCache(8).LoadFile(filepath.Join(dir, "absent.json")); err != nil {
+	fresh, err := New(Config{Workers: 1, SnapshotPath: filepath.Join(dir, "absent.snap")})
+	if err != nil {
 		t.Fatalf("missing snapshot errored: %v", err)
+	}
+	defer fresh.Kill()
+	if fresh.Cache().Len() != 0 || fresh.Metrics().snapshotQuarantines != 0 {
+		t.Fatal("a missing snapshot loaded entries or was quarantined")
 	}
 }
 
-// TestCacheSnapshotSchemaGuard: a snapshot from a different key schema
-// is ignored wholesale — its addresses name different computations.
+// TestCacheSnapshotSchemaGuard: a snapshot whose checkpoint names a
+// different key schema is ignored wholesale — its addresses name
+// different computations — and is not mistaken for corruption.
 func TestCacheSnapshotSchemaGuard(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewCache(4)
-	c.Put(entry("k", `{}`))
-	if err := c.WriteSnapshot(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "cache.snap")
+	e := entry("k", `{}`)
+	e.Digest = ResultDigest(e.Result)
+	seg := []journalRecord{
+		{Op: opCheckpoint, Seq: 1, KeySchema: keySchemaVersion + 1},
+		{Op: opDone, Key: "k", Entry: e},
+		{Op: opEnd, Count: 1},
+	}
+	if err := writeSegment(OSFS{}, path, seg); err != nil {
 		t.Fatal(err)
 	}
-	stale := bytes.Replace(buf.Bytes(),
-		[]byte(fmt.Sprintf(`"schemaVersion":%d`, keySchemaVersion)),
-		[]byte(`"schemaVersion":999`), 1)
-	if bytes.Equal(stale, buf.Bytes()) {
-		t.Fatal("test did not rewrite the schema version")
-	}
-	r := NewCache(4)
-	if err := r.ReadSnapshot(bytes.NewReader(stale)); err != nil {
+	s, err := New(Config{Workers: 1, SnapshotPath: path})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 0 {
-		t.Fatalf("stale-schema snapshot loaded %d entries, want 0", r.Len())
+	defer s.Kill()
+	if s.Cache().Len() != 0 {
+		t.Fatalf("stale-schema snapshot loaded %d entries, want 0", s.Cache().Len())
+	}
+	if q := s.Metrics().snapshotQuarantines; q != 0 || s.Recovery().SnapshotQuarantined != 0 {
+		t.Fatalf("stale-schema snapshot treated as corruption: %d files, %d records", q, s.Recovery().SnapshotQuarantined)
 	}
 }

@@ -3,20 +3,24 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 )
 
 // The integrity subsystem's decoders sit on the blast radius of at-rest
-// corruption: journal lines, replication frames, and client-supplied
-// cell specs all arrive as untrusted bytes. The contract under fuzzing
-// is uniform — decoders ERROR on garbage, they never panic — plus the
-// canonical round-trip invariants the audit scrubber leans on.
+// corruption: log lines (journal, snapshot, replication) and
+// client-supplied cell specs all arrive as untrusted bytes. The contract
+// under fuzzing is uniform — decoders ERROR on garbage, they never panic
+// — plus the canonical round-trip invariants the audit scrubber leans
+// on.
 
-// FuzzJournalDecode throws arbitrary bytes at the journal frame parser,
-// both as a single line and as a multi-line journal body (the shape the
-// scrubber and replay walk). parseFrame must never panic, must never
-// report a frame as both ok and stale, and any line it accepts must
-// re-frame to the same CRC.
+// FuzzJournalDecode throws arbitrary bytes at the one record codec: as a
+// single line (parseFrame), and as a multi-line body through both
+// replication readers, the batch reader and the segment reader, on a
+// live follower. Nothing may panic; a line parseFrame accepts must
+// re-frame to a line that verifies; and a reader may accept only what
+// verifies line by line — a batch must open with its header, a segment
+// must be whole, checkpoint to counting trailer.
 func FuzzJournalDecode(f *testing.F) {
 	if line, err := frameRecord(journalRecord{Op: opDone, ID: "job-7", Key: "abc"}); err == nil {
 		f.Add(bytes.TrimSuffix(line, []byte("\n")))
@@ -25,59 +29,49 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Add([]byte(`{"schema":1,"op":"submitted","id":"job-0"}`))
 	f.Add([]byte("deadbeef "))
 	f.Add([]byte(""))
+	result := json.RawMessage(`{"cycles":1}`)
+	entry := &CacheEntry{Key: "k", Result: result, Digest: ResultDigest(result)}
+	seg := []journalRecord{
+		{Op: opCheckpoint, Seq: 3, NextID: 2, KeySchema: keySchemaVersion},
+		{Op: opDone, Key: "k", Entry: entry},
+		{Op: opEnd, Count: 1},
+	}
+	var segment bytes.Buffer
+	writeRecords(&segment, seg)
+	batch, _ := frameRecord(journalRecord{Op: opBatch, First: 1, Seq: 2})
+	done, _ := frameRecord(journalRecord{Op: opDone, Seq: 1, ID: "job-1", Key: "k", Entry: entry})
+	f.Add(append(bytes.Clone(batch), done...))                                              // a batch header and one record
+	f.Add(segment.Bytes())                                                                  // a segment with its trailer
+	f.Add(segment.Bytes()[:bytes.LastIndexByte(segment.Bytes()[:segment.Len()-1], '\n')+1]) // cut before the trailer
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, ok, stale := parseFrame(data)
-		if ok && stale {
-			t.Fatalf("frame reported both ok and stale: %q", data)
-		}
-		if ok {
-			// An accepted frame re-encodes to an identical, verifiable line.
+		if rec, err := parseFrame(data); err == nil {
+			// An accepted line re-encodes to an identical, verifiable line.
 			line, err := frameRecord(rec)
 			if err != nil {
-				t.Fatalf("accepted frame does not re-encode: %v", err)
+				t.Fatalf("accepted line does not re-encode: %v", err)
 			}
-			if _, ok2, _ := parseFrame(bytes.TrimSuffix(line, []byte("\n"))); !ok2 {
+			if _, err := parseFrame(line); err != nil {
 				t.Fatalf("re-framed record does not verify: %q", line)
 			}
 		}
-		// The multi-line walk the scrubber and replay share.
-		for _, line := range bytes.Split(data, []byte("\n")) {
-			if len(line) == 0 {
-				continue
-			}
-			parseFrame(line)
+		recs, _, verr := decodeLines(data)
+		// A fresh follower each time, so an input means the same thing on
+		// every run.
+		follower, err := New(Config{Workers: 1, Following: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-}
-
-// FuzzReplicationFrame decodes arbitrary JSON as each replication wire
-// document and exercises the CRC verification path. Garbage must fail
-// decode or fail verify — never panic, and never verify as authentic.
-func FuzzReplicationFrame(f *testing.F) {
-	frame := ReplFrame{Seq: 1, Record: journalRecord{Schema: journalSchemaVersion, Op: opDone, ID: "job-1"}}
-	frame.CRC = frame.computeCRC()
-	if b, err := json.Marshal(frame); err == nil {
-		f.Add(b)
-	}
-	f.Add([]byte(`{"frames":[],"firstSeq":1,"nextSeq":1}`))
-	f.Add([]byte(`{"seq":18446744073709551615,"crc":0}`))
-	f.Add([]byte(`null`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var fr ReplFrame
-		if err := json.Unmarshal(data, &fr); err == nil {
-			if fr.verify() && fr.CRC != fr.computeCRC() {
-				t.Fatal("verify accepted a frame whose CRC does not match")
+		defer follower.Kill()
+		if _, err := follower.ApplyReplicatedBatch(bytes.NewReader(data)); err == nil || errors.Is(err, ErrReplGap) {
+			if verr != nil || recs[0].Op != opBatch {
+				t.Fatalf("batch reader accepted garbage: %q", data)
 			}
 		}
-		var batch ReplBatch
-		if err := json.Unmarshal(data, &batch); err == nil {
-			for _, bf := range batch.Frames {
-				bf.verify()
+		if _, err := follower.ApplyReplicatedSnapshot(bytes.NewReader(data)); err == nil {
+			if verr != nil || !wholeSegment(recs) {
+				t.Fatalf("segment reader accepted garbage: %q", data)
 			}
-		}
-		var snap ReplSnapshot
-		if err := json.Unmarshal(data, &snap); err == nil {
-			snap.verify()
 		}
 	})
 }

@@ -208,8 +208,8 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 //	GET  /v1/metrics/history  load-gauge time series (ring of sampled points)
 //	GET  /v1/audit            integrity scrubber report (passes, mismatches, repairs)
 //	GET  /v1/version          build identity + cache key schema version
-//	GET  /v1/replication/stream    follower long-poll: CRC-framed record batches
-//	GET  /v1/replication/snapshot  follower bootstrap: full digest-stamped checkpoint
+//	GET  /v1/replication/stream    follower long-poll: a batch of record-log lines
+//	GET  /v1/replication/snapshot  follower bootstrap: the compacted log segment
 //	POST /v1/replication/promote   warm standby -> serving primary
 //	GET  /metrics             live counters, JSON
 //	GET  /healthz             liveness + draining/degraded flags
@@ -457,7 +457,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.Following() {
 		role = "follower"
 	}
-	snap := s.metrics.snapshot(s.QueueDepth(), s.Running(), s.adm.Limit(), s.cache, s.journalRecords(), degraded,
+	snap := s.metrics.snapshot(s.QueueDepth(), s.Running(), s.adm.Limit(), s.cache, s.log.records(), degraded,
 		s.stages.summaries(), traceSpans, traceDropped, s.history.Len(), role, s.ReplicationLag())
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(snap.renderJSON())

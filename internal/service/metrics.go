@@ -40,7 +40,7 @@ type Metrics struct {
 	snapshotQuarantines uint64 // corrupt snapshots renamed aside at startup
 
 	journalQuarantinedRecords uint64 // mid-file corrupt journal records quarantined during replay
-	snapshotEntryQuarantines  uint64 // snapshot entries quarantined by -verify-snapshot digest re-hashing
+	snapshotEntryQuarantines  uint64 // snapshot records quarantined on load (frame CRC or entry digest)
 
 	replFramesSent       uint64 // replication frames served to followers
 	replFramesApplied    uint64 // replication frames verified and applied (follower side)
@@ -301,10 +301,9 @@ type MetricsSnapshot struct {
 	SnapshotWrites      uint64 `json:"snapshotWrites"`
 	SnapshotQuarantines uint64 `json:"snapshotQuarantines"`
 
-	// Integrity quarantines: individual journal records replaced by CRC
-	// framing replay (not whole-file quarantines, which
-	// snapshotQuarantines counts) and snapshot entries dropped by
-	// -verify-snapshot digest re-hashing.
+	// Integrity quarantines: individual journal and snapshot records
+	// that failed verification on replay (frame CRC or entry digest), not
+	// the whole-file quarantines snapshotQuarantines counts.
 	JournalQuarantinedRecords uint64 `json:"journalQuarantinedRecords"`
 	SnapshotEntryQuarantines  uint64 `json:"snapshotEntryQuarantines"`
 

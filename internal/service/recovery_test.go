@@ -236,3 +236,57 @@ func TestJournalingDisabledMatchesPR3Behavior(t *testing.T) {
 			snap.JournalRecords, snap.JournalRotations)
 	}
 }
+
+// TestRestartDoesNotReissueJobIDs: job IDs survive a clean restart
+// through the snapshot's and the journal's checkpoints, so a restarted
+// daemon never hands a new cell an ID it already gave another one, and
+// a poll of an old ID never returns another cell's view.
+func TestRestartDoesNotReissueJobIDs(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	dir := t.TempDir()
+	cfg := Config{
+		Workers:      2,
+		SnapshotPath: filepath.Join(dir, "cache.snap"),
+		JournalPath:  filepath.Join(dir, "journal.wal"),
+	}
+	spec := func(seed uint64) harness.CellSpec {
+		return harness.CellSpec{Workload: "kmeans", Detection: asfsim.DetectSubBlock4, Scale: workloads.ScaleTiny, Seed: seed}
+	}
+
+	first, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	issued := make(map[string]string)        // job ID -> key
+	for _, seed := range []uint64{1, 2, 1} { // the repeat is a cache hit with its own ID
+		job, err := first.Submit(spec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminalDirect(t, first, job.ID)
+		issued[job.ID] = job.Key
+	}
+	if err := first.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	second, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Shutdown(ctx)
+	job, err := second.Submit(spec(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key, dup := issued[job.ID]; dup {
+		t.Fatalf("restarted daemon reissued %s (was key %s, now %s)", job.ID, key, job.Key)
+	}
+	waitTerminalDirect(t, second, job.ID)
+	for id, key := range issued {
+		if v, ok := second.Lookup(id); ok && v.Key != key {
+			t.Fatalf("GET %s after restart returned key %s, want %s or unknown", id, v.Key, key)
+		}
+	}
+}

@@ -6,16 +6,47 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
-// TestSnapshotDigestVerification is the -verify-snapshot contract: a
-// result silently corrupted at rest fails its content-digest re-hash on
-// load, is quarantined (preserved for post-mortem, counted, visible on
-// /metrics), and is never served — the corrupted cell recomputes
-// instead. Healthy entries load normally.
+// tamperSnapshot rewrites the done record for key in the segment at
+// path: its result bytes are changed and the frame CRC is re-sealed over
+// the damaged payload, so only the content digest can tell.
+func tamperSnapshot(t *testing.T, path, key string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	tampered := false
+	for i, line := range lines {
+		if bytes.Contains(line, []byte(`"key":"`+key+`"`)) && bytes.Contains(line, []byte(`"op":"done"`)) {
+			lines[i] = reseal(t, line, `"cycles"`, `"cycLes"`)
+			tampered = true
+		}
+	}
+	if !tampered {
+		t.Fatalf("no done record for %s to tamper with", key)
+	}
+	out := bytes.Join(lines, nil)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestSnapshotDigestVerification: every snapshot record is verified on
+// load, its entry's content digest included. A result silently
+// corrupted before it was framed (the CRC checks out) fails its digest
+// re-hash, is quarantined (preserved for post-mortem, counted, visible
+// on /metrics), and is never served — the corrupted cell recomputes
+// instead. Healthy entries load normally. With the scrubber armed the
+// entry is loaded for the scrubber to quarantine and repair instead,
+// and the serve-path guard keeps it from ever being served.
 func TestSnapshotDigestVerification(t *testing.T) {
 	dir := t.TempDir()
-	snapPath := filepath.Join(dir, "cache.json")
+	snapPath := filepath.Join(dir, "cache.snap")
 
 	// First incarnation: settle two cells and persist the snapshot.
 	s1, ts1 := newTestServer(t, Config{Workers: 2, SnapshotPath: snapPath})
@@ -26,47 +57,27 @@ func TestSnapshotDigestVerification(t *testing.T) {
 	if err := s1.Persist(); err != nil {
 		t.Fatal(err)
 	}
+	tampered := tamperSnapshot(t, snapPath, victim.Key)
 
-	// Corrupt the victim's result bytes on disk without touching its
-	// recorded digest — a lying disk, not a truncated file.
-	raw, err := os.ReadFile(snapPath)
+	// The scrubber-armed boot first, on its own copy of the file.
+	armedPath := filepath.Join(dir, "armed.snap")
+	if err := os.WriteFile(armedPath, tampered, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	armed, err := New(Config{Workers: 1, SnapshotPath: armedPath, ScrubInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap struct {
-		SchemaVersion int          `json:"schemaVersion"`
-		Entries       []CacheEntry `json:"entries"`
+	if got := armed.Recovery().SnapshotQuarantined; got != 0 {
+		t.Fatalf("scrubber-armed boot quarantined %d records itself", got)
 	}
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatal(err)
+	if rep := armed.ScrubPass(); rep.Corruptions != 1 || rep.Repairs != 1 {
+		t.Fatalf("scrub pass after an armed boot: %+v, want 1 corruption repaired", rep)
 	}
-	if len(snap.Entries) != 2 {
-		t.Fatalf("snapshot has %d entries, want 2", len(snap.Entries))
-	}
-	victimIdx := -1
-	for i := range snap.Entries {
-		if snap.Entries[i].Key == victim.Key {
-			victimIdx = i
-		}
-	}
-	if victimIdx < 0 {
-		t.Fatalf("victim key %s not in snapshot", victim.Key)
-	}
-	tampered := bytes.Replace(snap.Entries[victimIdx].Result, []byte(`"cycles"`), []byte(`"cycLes"`), 1)
-	if bytes.Equal(tampered, snap.Entries[victimIdx].Result) {
-		t.Fatal("tamper did not change the result bytes")
-	}
-	snap.Entries[victimIdx].Result = tampered
-	out, err := json.Marshal(&snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snapPath, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	armed.Kill()
 
-	// Second incarnation with verification on.
-	s2, ts2 := newTestServer(t, Config{Workers: 2, SnapshotPath: snapPath, VerifySnapshot: true})
+	// Default boot: the record is quarantined on load.
+	s2, ts2 := newTestServer(t, Config{Workers: 2, SnapshotPath: snapPath})
 	if got := s2.Recovery().SnapshotQuarantined; got != 1 {
 		t.Fatalf("SnapshotQuarantined = %d, want 1", got)
 	}
@@ -117,16 +128,5 @@ func TestSnapshotDigestVerification(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("recomputed result differs from the original computation")
-	}
-
-	// Without -verify-snapshot the tampered snapshot would have loaded:
-	// prove the flag is what caught it.
-	s3, err := New(Config{Workers: 1, SnapshotPath: snapPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Kill()
-	if got := s3.Recovery().SnapshotQuarantined; got != 0 {
-		t.Fatalf("unverified load quarantined %d entries", got)
 	}
 }
