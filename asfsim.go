@@ -369,8 +369,11 @@ func Run(workload string, scale Scale, cfg Config) (*Result, error) {
 // runPooled executes w on a machine from the process-wide pool. A reset
 // pooled machine is bit-identical to a fresh one, so results are exactly
 // those of a dedicated NewMachine; that holds for a machine whose last run
-// errored too, since Execute unwinds every thread before it returns. The
-// hot path (Phases nil)
+// errored too, since Execute unwinds and retires its thread coroutines
+// before it returns. A machine whose run completed keeps its coroutines
+// suspended in the pool, so the next run on it starts its threads without
+// creating any; every path returns the machine with Put, which retires
+// the coroutines of any machine the pool drops. The hot path (Phases nil)
 // stays allocation-free; with a hook installed, acquisition and
 // execution wall times are reported as run phases.
 func runPooled(w sim.Workload, cfg Config) (*Result, error) {

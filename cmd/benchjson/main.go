@@ -1,7 +1,8 @@
-// Command benchjson runs the BenchmarkWorkload suite (one full baseline
-// simulation of every workload at the benchmark scale) through
-// testing.Benchmark and writes the results as a machine-readable JSON
-// file — the repository's performance trajectory. Each entry records
+// Command benchjson runs one full simulation of every workload at the
+// benchmark scale under each of the paper's headline detection systems
+// (baseline, subblock-4 and perfect) through testing.Benchmark and writes
+// the results as a machine-readable JSON file — the repository's
+// performance trajectory. Each (workload, detection) row records
 // wall-time (ns/op), allocation churn (allocs/op, B/op) and the run's
 // deterministic simulated cycle count, so simulator-performance changes
 // and accidental result changes are both visible in one diff.
@@ -19,13 +20,15 @@
 //	benchjson -diff BENCH_2026-08-06.json bench-now.json
 //	benchjson -diff -threshold 1.5 old.json new.json
 //
-// A regression is a workload whose ns/op grew beyond -threshold× the
-// baseline (noise margin; default 1.4), whose allocs/op or B/op grew
-// beyond -alloc-threshold× the baseline (allocation counts are nearly
-// deterministic, so the margin is tighter), a workload that disappeared,
-// or any simCycles mismatch — simulated cycles are deterministic, so that
-// is a silent result change, never noise, and is gated at exactly zero
-// tolerance.
+// Rows are matched by (workload, detection); a row without a detection
+// (files written before rows carried one) is a baseline row. A regression
+// is a row whose ns/op grew beyond -threshold× the baseline (noise
+// margin; default 1.4), whose allocs/op or B/op grew beyond
+// -alloc-threshold× the baseline (allocation counts are nearly
+// deterministic, so the margin is tighter), a row that disappeared, or
+// any simCycles mismatch — simulated cycles are deterministic, so that is
+// a silent result change, never noise, and is gated at exactly zero
+// tolerance. A new row with no baseline row is reported, not gated.
 //
 // Each workload performs one untimed warm-up run before measuring, so the
 // recorded numbers are the machine-pool steady state (reused machines)
@@ -51,9 +54,19 @@ import (
 // here and there are the same deterministic numbers.
 const benchSeed = 1
 
-// WorkloadResult is one workload's benchmark entry.
+// benchDetections are the detection systems every workload is measured
+// under: the original ASF, the paper's recommended 4 sub-blocks and the
+// ideal system.
+var benchDetections = []asfsim.Detection{
+	asfsim.DetectBaseline, asfsim.DetectSubBlock4, asfsim.DetectPerfect,
+}
+
+// WorkloadResult is one (workload, detection) benchmark entry.
 type WorkloadResult struct {
-	Name        string  `json:"name"`
+	Name string `json:"name"`
+	// Detection is the detection system the row ran under; empty means
+	// baseline.
+	Detection   string  `json:"detection,omitempty"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"nsPerOp"`
 	AllocsPerOp int64   `json:"allocsPerOp"`
@@ -64,6 +77,15 @@ type WorkloadResult struct {
 	SimCycles int64 `json:"simCycles"`
 }
 
+// key identifies a row across files: workload name and detection system.
+func (w WorkloadResult) key() string {
+	d := w.Detection
+	if d == "" {
+		d = asfsim.DetectBaseline.String()
+	}
+	return w.Name + "/" + d
+}
+
 // File is the BENCH_<date>.json schema.
 type File struct {
 	Date       string           `json:"date"`
@@ -71,7 +93,6 @@ type File struct {
 	GOMAXPROCS int              `json:"gomaxprocs"`
 	Scale      string           `json:"scale"`
 	Seed       uint64           `json:"seed"`
-	Detection  string           `json:"detection"`
 	Workloads  []WorkloadResult `json:"workloads"`
 }
 
@@ -100,47 +121,19 @@ func main() {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Scale:      asfsim.ScaleTiny.String(),
 		Seed:       benchSeed,
-		Detection:  asfsim.DetectBaseline.String(),
 	}
 
-	for _, wl := range asfsim.Workloads() {
-		var cycles int64
-		var failure error
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := asfsim.DefaultConfig()
-			cfg.Detection = asfsim.DetectBaseline
-			cfg.Seed = benchSeed
-			// Warm the machine pool before the timer so allocs/op records
-			// the reused-machine steady state independent of b.N.
-			if _, err := asfsim.Run(wl, asfsim.ScaleTiny, cfg); err != nil {
-				failure = err
-				b.FailNow()
+	for _, d := range benchDetections {
+		for _, wl := range asfsim.Workloads() {
+			row, err := measure(wl, d)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", row.key(), err)
+				os.Exit(1)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, err := asfsim.Run(wl, asfsim.ScaleTiny, cfg)
-				if err != nil {
-					failure = err
-					b.FailNow()
-				}
-				cycles = r.Cycles
-			}
-		})
-		if failure != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", wl, failure)
-			os.Exit(1)
+			f.Workloads = append(f.Workloads, row)
+			fmt.Fprintf(os.Stderr, "benchjson: %-25s %12.0f ns/op %10d allocs/op %10d simcycles\n",
+				row.key(), row.NsPerOp, row.AllocsPerOp, row.SimCycles)
 		}
-		f.Workloads = append(f.Workloads, WorkloadResult{
-			Name:        wl,
-			Iterations:  res.N,
-			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-			SimCycles:   cycles,
-		})
-		fmt.Fprintf(os.Stderr, "benchjson: %-14s %12.0f ns/op %10d allocs/op %10d simcycles\n",
-			wl, float64(res.T.Nanoseconds())/float64(res.N), res.AllocsPerOp(), cycles)
 	}
 
 	path := *out
@@ -166,6 +159,41 @@ func main() {
 	if path != "-" {
 		fmt.Fprintf(os.Stderr, "benchjson: wrote %s\n", path)
 	}
+}
+
+// measure benchmarks one workload under one detection system.
+func measure(wl string, d asfsim.Detection) (WorkloadResult, error) {
+	row := WorkloadResult{Name: wl, Detection: d.String()}
+	var failure error
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		cfg := asfsim.DefaultConfig()
+		cfg.Detection = d
+		cfg.Seed = benchSeed
+		// Warm the machine pool before the timer so allocs/op records
+		// the reused-machine steady state independent of b.N.
+		if _, err := asfsim.Run(wl, asfsim.ScaleTiny, cfg); err != nil {
+			failure = err
+			b.FailNow()
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r, err := asfsim.Run(wl, asfsim.ScaleTiny, cfg)
+			if err != nil {
+				failure = err
+				b.FailNow()
+			}
+			row.SimCycles = r.Cycles
+		}
+	})
+	if failure != nil {
+		return row, failure
+	}
+	row.Iterations = res.N
+	row.NsPerOp = float64(res.T.Nanoseconds()) / float64(res.N)
+	row.AllocsPerOp = res.AllocsPerOp()
+	row.BytesPerOp = res.AllocedBytesPerOp()
+	return row, nil
 }
 
 func loadFile(path string) (*File, error) {
@@ -195,28 +223,29 @@ func diffFiles(oldPath, newPath string, threshold, allocThreshold float64) error
 	if err != nil {
 		return err
 	}
-	if oldF.Scale != newF.Scale || oldF.Seed != newF.Seed || oldF.Detection != newF.Detection {
-		return fmt.Errorf("configs differ (%s/%s seed %d vs %s/%s seed %d): not comparable",
-			oldF.Scale, oldF.Detection, oldF.Seed, newF.Scale, newF.Detection, newF.Seed)
+	if oldF.Scale != newF.Scale || oldF.Seed != newF.Seed {
+		return fmt.Errorf("configs differ (%s seed %d vs %s seed %d): not comparable",
+			oldF.Scale, oldF.Seed, newF.Scale, newF.Seed)
 	}
 
 	newBy := make(map[string]WorkloadResult, len(newF.Workloads))
 	for _, w := range newF.Workloads {
-		newBy[w.Name] = w
+		newBy[w.key()] = w
 	}
 
 	var failures []string
 	for _, old := range oldF.Workloads {
-		cur, ok := newBy[old.Name]
+		name := old.key()
+		cur, ok := newBy[name]
 		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: missing from %s", old.Name, newPath))
+			failures = append(failures, fmt.Sprintf("%s: missing from %s", name, newPath))
 			continue
 		}
-		delete(newBy, cur.Name)
+		delete(newBy, name)
 		if cur.SimCycles != old.SimCycles {
 			failures = append(failures, fmt.Sprintf(
 				"%s: simCycles changed %d -> %d (deterministic result change, zero tolerance)",
-				old.Name, old.SimCycles, cur.SimCycles))
+				name, old.SimCycles, cur.SimCycles))
 		}
 		ratio := cur.NsPerOp / old.NsPerOp
 		status := "ok"
@@ -224,14 +253,14 @@ func diffFiles(oldPath, newPath string, threshold, allocThreshold float64) error
 			status = "REGRESSION"
 			failures = append(failures, fmt.Sprintf(
 				"%s: ns/op regressed %.0f -> %.0f (%.2fx > %.2fx threshold)",
-				old.Name, old.NsPerOp, cur.NsPerOp, ratio, threshold))
+				name, old.NsPerOp, cur.NsPerOp, ratio, threshold))
 		}
 		if old.AllocsPerOp > 0 {
 			if r := float64(cur.AllocsPerOp) / float64(old.AllocsPerOp); r > allocThreshold {
 				status = "REGRESSION"
 				failures = append(failures, fmt.Sprintf(
 					"%s: allocs/op regressed %d -> %d (%.2fx > %.2fx threshold)",
-					old.Name, old.AllocsPerOp, cur.AllocsPerOp, r, allocThreshold))
+					name, old.AllocsPerOp, cur.AllocsPerOp, r, allocThreshold))
 			}
 		}
 		if old.BytesPerOp > 0 {
@@ -239,14 +268,16 @@ func diffFiles(oldPath, newPath string, threshold, allocThreshold float64) error
 				status = "REGRESSION"
 				failures = append(failures, fmt.Sprintf(
 					"%s: B/op regressed %d -> %d (%.2fx > %.2fx threshold)",
-					old.Name, old.BytesPerOp, cur.BytesPerOp, r, allocThreshold))
+					name, old.BytesPerOp, cur.BytesPerOp, r, allocThreshold))
 			}
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: %-14s %12.0f -> %12.0f ns/op (%.2fx) %8d -> %8d allocs/op %s\n",
-			old.Name, old.NsPerOp, cur.NsPerOp, ratio, old.AllocsPerOp, cur.AllocsPerOp, status)
+		fmt.Fprintf(os.Stderr, "benchjson: %-25s %12.0f -> %12.0f ns/op (%.2fx) %8d -> %8d allocs/op %s\n",
+			name, old.NsPerOp, cur.NsPerOp, ratio, old.AllocsPerOp, cur.AllocsPerOp, status)
 	}
-	for name := range newBy {
-		fmt.Fprintf(os.Stderr, "benchjson: %-14s new workload, no baseline\n", name)
+	for _, w := range newF.Workloads {
+		if _, ok := newBy[w.key()]; ok {
+			fmt.Fprintf(os.Stderr, "benchjson: %-25s new workload, no baseline\n", w.key())
+		}
 	}
 
 	if len(failures) > 0 {

@@ -3,15 +3,16 @@
 // deterministic thread scheduler and the transactional runtime that
 // workloads program against.
 //
-// Determinism contract: simulated threads are goroutines, but exactly one
-// runs at any instant. There is no scheduler goroutine: when a thread ends
-// a simulated operation it picks the next thread itself — always the
-// unfinished one with the smallest (wake-time, id) pair — and, unless that
-// is itself, wakes it through its resume channel and sleeps on its own.
-// Every switch is one channel handoff between the two threads involved, so
-// the Go scheduler decides nothing about the interleaving. The same
-// configuration and seed therefore produce bit-identical results on every
-// run, under any GOMAXPROCS.
+// Determinism contract: each simulated thread is a runtime coroutine
+// (iter.Pull), and exactly one runs at any instant. There is no scheduler
+// goroutine: when a thread ends a simulated operation it picks the next
+// thread itself — always the unfinished one with the smallest (wake-time,
+// id) pair — and, unless that is itself, suspends back to Execute's run
+// loop, which resumes the picked thread. Every switch is a pair of direct
+// coroutine switches that never pass through the Go scheduler, so it
+// decides nothing about the interleaving. The same configuration and seed
+// therefore produce bit-identical results on every run, under any
+// GOMAXPROCS.
 package sim
 
 import (
@@ -129,13 +130,17 @@ type Machine struct {
 
 	now int64 // simulated time of the op being executed
 
-	// done is how a run reports back to Execute: the last thread to finish
-	// sends on it, and so does every thread a stopped run unwinds.
-	done chan struct{}
+	// workload is the workload of the running Execute; nil between runs,
+	// so a pooled machine does not keep its last workload alive.
+	workload Workload
+	// handoff is the thread Execute's run loop resumes next. A thread
+	// sets it before it suspends, and leaves it nil when the run is over or
+	// stopped.
+	handoff *Thread
 	// stopping is set, by the thread that ends the run early, when a run
 	// stops before all threads finish: MaxCycles, cancellation (err) or a
-	// thread panic (panicked). Parked threads woken while it is set unwind
-	// instead of running on.
+	// thread panic (panicked). Suspended threads are then retired, which
+	// unwinds them instead of running them on.
 	stopping bool
 	err      error
 	panicked string
@@ -168,6 +173,10 @@ type Machine struct {
 	recorder *trace.Writer
 
 	executed bool
+	// pooled marks a machine handed out by a MachinePool, which then owns
+	// its thread coroutines: they stay suspended between runs until the
+	// pool drops the machine.
+	pooled bool
 }
 
 // normalizeConfig validates cfg and fills in its defaults, in place. It is
@@ -264,7 +273,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		memory: mem.NewMemory(),
 		bus:    coherence.NewBus(cfg.Cores, cfg.Core.Geom),
 		root:   rng.New(cfg.Seed),
-		done:   make(chan struct{}),
 		run:    newRunRecord(cfg),
 	}
 	m.alloc = mem.NewAllocator(m.geom, mem.Addr(m.geom.LineSize))
@@ -317,7 +325,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 // first-touch order, and the allocator restarts at the same base — the
 // next Execute draws exactly the sequence a new machine would. Any executed
 // machine can be reset, including one whose run errored or panicked:
-// Execute returns only after every worker goroutine has exited.
+// Execute unwinds every thread before it returns.
 func (m *Machine) Reset(cfg Config) error {
 	if err := normalizeConfig(&cfg); err != nil {
 		return err
@@ -526,10 +534,11 @@ type Workload interface {
 
 // Execute runs the workload to completion and returns the aggregated
 // statistics. A Machine runs one workload; Reset rewinds it for another
-// Execute. Execute returns only once every worker goroutine has exited,
-// also when the run errors (MaxCycles, cancellation); a panic in workload
-// code is re-raised here, on the caller's goroutine, after the other
-// threads have been unwound.
+// Execute. Execute unwinds every thread before it returns, also when the
+// run errors (MaxCycles, cancellation); a panic in workload code is
+// re-raised here, on the caller's goroutine, after the other threads have
+// been unwound. No thread coroutine outlives Execute unless the machine is
+// pooled and its run completed: those stay suspended for the next run.
 func (m *Machine) Execute(w Workload) (*stats.Run, error) {
 	if m.executed {
 		return nil, fmt.Errorf("sim: machine already executed a workload")
@@ -551,8 +560,8 @@ func (m *Machine) Execute(w Workload) (*stats.Run, error) {
 	for i := 0; i < m.cfg.Cores; i++ {
 		var t *Thread
 		if i < len(m.threads) {
-			// Reset machine: reuse the thread (and its rng scratch, Tx
-			// buffers and resume channel) from the previous run.
+			// Reset machine: reuse the thread (and its rng scratch and Tx
+			// buffers) from the previous run.
 			t = m.threads[i]
 			t.resetForRun()
 		} else {
@@ -563,10 +572,12 @@ func (m *Machine) Execute(w Workload) (*stats.Run, error) {
 				rng:        &rng.Rand{},
 				policyRand: &rng.Rand{},
 				faultRand:  &rng.Rand{},
-				resume:     make(chan struct{}),
 			}
 			t.tx.t = t
 			m.threads = append(m.threads, t)
+		}
+		if t.coNext == nil {
+			t.startCoroutine()
 		}
 		// Threads start staggered (thread-spawn cost), which avoids an
 		// artificial time-zero convoy on the first shared structure.
@@ -586,27 +597,24 @@ func (m *Machine) Execute(w Workload) (*stats.Run, error) {
 			t.fault = fault.New(m.cfg.Fault, t.faultRand)
 		}
 	}
-	for _, t := range m.threads {
-		go t.main(w.Run)
-	}
 
-	// Start the first thread; from here on the threads hand control to
-	// each other until the last one finishes or one stops the run.
+	// The run loop: resume the picked thread until it hands control on
+	// (m.handoff), and stop once no thread is picked, because the last one
+	// finished or one stopped the run.
+	m.workload = w
 	if first, err := m.schedule(); err != nil {
 		m.stop(err)
 	} else {
-		first.resume <- struct{}{}
-		<-m.done
-	}
-	if m.stopping {
-		// Unwind every parked thread, one at a time, so none outlives the
-		// run (a parked goroutine would pin the whole machine).
-		for _, t := range m.threads {
-			if !t.finished {
-				t.resume <- struct{}{}
-				<-m.done
-			}
+		for t := first; t != nil; t = m.handoff {
+			m.handoff = nil
+			t.coNext()
 		}
+	}
+	if m.stopping || !m.pooled {
+		m.retire()
+	}
+	m.workload = nil
+	if m.stopping {
 		if m.panicked != "" {
 			panic(m.panicked)
 		}
@@ -621,6 +629,18 @@ func (m *Machine) Execute(w Workload) (*stats.Run, error) {
 		return m.run, fmt.Errorf("sim: workload %s failed validation: %w", w.Name(), err)
 	}
 	return m.run, nil
+}
+
+// retire ends the thread coroutines, one at a time. A thread suspended
+// mid-run (the run stopped early) unwinds with stopRun first; one
+// suspended between runs just returns. Execute recreates them on demand.
+func (m *Machine) retire() {
+	for _, t := range m.threads {
+		if t.coStop != nil {
+			t.coStop()
+			t.coNext, t.coStop, t.coYield = nil, nil, nil
+		}
+	}
 }
 
 // schedule picks the thread to run next: the unfinished thread with the

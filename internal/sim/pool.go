@@ -21,6 +21,11 @@ import (
 // (no more can run at once). Unlike a sync.Pool it survives garbage
 // collection, so a long sweep keeps reusing the same few machines instead
 // of rebuilding their arenas after every GC cycle.
+//
+// The pool also owns the thread coroutines of every machine it hands out:
+// they stay suspended between runs, so a reused machine starts its threads
+// without creating any, and they are retired when the pool drops the
+// machine. A machine from Get must therefore come back through Put.
 type MachinePool struct {
 	mu   sync.Mutex
 	free []*Machine // most recently returned last
@@ -53,26 +58,35 @@ func (p *MachinePool) GetTracked(cfg Config) (m *Machine, reused bool, err error
 	p.mu.Unlock()
 	if m != nil {
 		if err := m.Reset(cfg); err != nil {
+			m.retire()
 			return nil, false, err
 		}
-		return m, true, nil
+		reused = true
+	} else if m, err = NewMachine(cfg); err != nil {
+		return nil, false, err
 	}
-	m, err = NewMachine(cfg)
-	return m, false, err
+	m.pooled = true
+	return m, reused, nil
 }
 
 // Put offers a machine back for reuse. When the pool is full the least
-// recently returned machine is dropped.
+// recently returned machine is dropped and its coroutines retired.
 func (p *MachinePool) Put(m *Machine) {
 	if m == nil {
 		return
 	}
+	var dropped []*Machine
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if n := runtime.GOMAXPROCS(0); len(p.free) >= n {
-		p.free = slices.Delete(p.free, 0, len(p.free)-n+1)
+		k := len(p.free) - n + 1
+		dropped = slices.Clone(p.free[:k])
+		p.free = slices.Delete(p.free, 0, k)
 	}
 	p.free = append(p.free, m)
+	p.mu.Unlock()
+	for _, d := range dropped {
+		d.retire()
+	}
 }
 
 // DefaultPool is the process-wide machine pool used by the top-level run

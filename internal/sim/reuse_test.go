@@ -308,6 +308,52 @@ func TestErroredRunsAreReusable(t *testing.T) {
 			}
 		})
 	}
+
+	// A pooled machine keeps its coroutines across completed runs, but one
+	// whose run is canceled mid-flight is retired all the same, and the
+	// pool's next Get resets it to run exactly like a fresh machine.
+	t.Run("canceled-pooled", func(t *testing.T) {
+		var pool sim.MachinePool
+		defer pool.Drain()
+		before := runtime.NumGoroutine()
+		c, w := stopped["canceled"]()
+		m, err := pool.Get(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Execute(w); !errors.Is(err, sim.ErrCanceled) {
+			t.Fatalf("expected ErrCanceled, got %v", err)
+		}
+		if n := m.Coroutines(); n != 0 {
+			t.Errorf("%d coroutines survived the canceled run", n)
+		}
+		if n := settledGoroutines(before); n > before {
+			t.Errorf("%d goroutines before the run, %d after", before, n)
+		}
+		pool.Put(m)
+		m2, err := pool.Get(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m2 != m {
+			t.Fatal("the pool built a new machine instead of resetting the canceled one")
+		}
+		w, err = workloads.New(spec.workload, workloads.ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m2.Execute(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, fresh) {
+			t.Errorf("run on the reset pooled machine diverged from a fresh machine")
+		}
+		if n := m2.Coroutines(); n != cfg.Cores {
+			t.Errorf("pooled machine kept %d coroutines after a completed run, want %d", n, cfg.Cores)
+		}
+		pool.Put(m2)
+	})
 }
 
 // panicOnThree is a workload whose thread 3 panics while the others are
@@ -347,5 +393,122 @@ func TestThreadPanicSurfacesOnCaller(t *testing.T) {
 	}
 	if n := settledGoroutines(before); n > before {
 		t.Errorf("%d goroutines before the run, %d after", before, n)
+	}
+}
+
+// TestCompletedRunLeavesNoGoroutine: a machine nobody pools retires its
+// thread coroutines when a run completes, not only when it stops early.
+func TestCompletedRunLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	spec := runSpec{"baseline-kmeans", "kmeans", baseCfg(1)}
+	runFresh(t, spec)
+	if n := settledGoroutines(before); n > before {
+		t.Errorf("%d goroutines before the run, %d after", before, n)
+	}
+}
+
+// TestPooledMachineKeepsCoroutines: a machine back in its pool keeps its
+// suspended thread coroutines, so the next Get and Execute create no
+// goroutine; draining the pool retires them. The machine starts out
+// unpooled (sim.NewMachine) and is adopted through Put and Get.
+func TestPooledMachineKeepsCoroutines(t *testing.T) {
+	var pool sim.MachinePool
+	defer pool.Drain()
+	spec := runSpec{"baseline-kmeans", "kmeans", baseCfg(1)}
+	fresh := runFresh(t, spec)
+	before := runtime.NumGoroutine()
+	adopted, err := sim.NewMachine(spec.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Put(adopted)
+	runPooled := func() *sim.Machine {
+		t.Helper()
+		w, err := workloads.New(spec.workload, workloads.ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := pool.Get(spec.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.Execute(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, fresh) {
+			t.Errorf("pooled run diverged from a fresh machine")
+		}
+		pool.Put(m)
+		return m
+	}
+
+	m := runPooled()
+	if m != adopted {
+		t.Fatal("the pool built a new machine instead of reusing the one put into it")
+	}
+	if n := m.Coroutines(); n != spec.cfg.Cores {
+		t.Fatalf("pooled machine kept %d coroutines, want %d", n, spec.cfg.Cores)
+	}
+	kept := runtime.NumGoroutine()
+	if m2 := runPooled(); m2 != m {
+		t.Fatal("the pool built a new machine instead of reusing the pooled one")
+	}
+	if n := settledGoroutines(kept); n > kept {
+		t.Errorf("%d goroutines after the first pooled run, %d after the second", kept, n)
+	}
+	pool.Drain()
+	if n := m.Coroutines(); n != 0 {
+		t.Errorf("%d coroutines survived the drain", n)
+	}
+	if n := settledGoroutines(before); n > before {
+		t.Errorf("%d goroutines before the pooled runs, %d after the drain", before, n)
+	}
+}
+
+// TestPoolDropRetiresCoroutines: overfilling the pool past GOMAXPROCS
+// drops the least recently returned machine and retires its coroutines;
+// only the kept machines' coroutines remain.
+func TestPoolDropRetiresCoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var pool sim.MachinePool
+	defer pool.Drain()
+	cfg := baseCfg(1)
+	before := runtime.NumGoroutine()
+	machines := make([]*sim.Machine, 3)
+	for i := range machines {
+		m, err := pool.Get(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := workloads.New("kmeans", workloads.ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Execute(w); err != nil {
+			t.Fatal(err)
+		}
+		machines[i] = m
+	}
+	for _, m := range machines {
+		pool.Put(m)
+	}
+	if n := pool.Len(); n != 2 {
+		t.Fatalf("pool holds %d machines, want GOMAXPROCS 2", n)
+	}
+	if n := machines[0].Coroutines(); n != 0 {
+		t.Errorf("dropped machine kept %d coroutines", n)
+	}
+	for _, m := range machines[1:] {
+		if n := m.Coroutines(); n != cfg.Cores {
+			t.Errorf("pooled machine kept %d coroutines, want %d", n, cfg.Cores)
+		}
+	}
+	if want, n := before+2*cfg.Cores, settledGoroutines(before+2*cfg.Cores); n > want {
+		t.Errorf("%d goroutines with two pooled machines, want %d", n, want)
+	}
+	pool.Drain()
+	if n := settledGoroutines(before); n > before {
+		t.Errorf("%d goroutines before the runs, %d after the drain", before, n)
 	}
 }

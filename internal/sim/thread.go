@@ -37,8 +37,16 @@ type Thread struct {
 	tx Tx
 
 	wake     int64 // earliest time this thread may run again
-	resume   chan struct{}
 	finished bool
+
+	// coNext, coStop and coYield are the thread's coroutine, iter.Pull over
+	// main. Execute's run loop resumes it with coNext, the thread
+	// suspends back to the run loop with coYield, and coStop retires it. It
+	// is created on the machine's first Execute and survives Reset; all
+	// three are nil once retired.
+	coNext  func() (struct{}, bool)
+	coStop  func()
+	coYield func(struct{}) bool
 
 	// Cycle attribution bucket for step(): 0 = non-transactional,
 	// 1 = inside a transaction attempt, 2 = abort/backoff stall.
@@ -73,8 +81,8 @@ func (t *Thread) blocksDone() uint64 { return t.blocksCommitted + t.blocksUserAb
 
 // resetForRun rewinds the thread's per-run state for another Execute on a
 // reset machine. The identity fields (id, m, eng), the rng backing stores
-// and the resume channel survive; the rng streams themselves are reseeded
-// by Execute.
+// and the coroutine survive; the rng streams themselves are reseeded by
+// Execute.
 func (t *Thread) resetForRun() {
 	t.finished = false
 	t.bucket = bucketNonTx
@@ -112,43 +120,39 @@ func (t *Thread) Now() int64 { return t.wake }
 // any other value that is not a txAbort.
 type stopRun struct{}
 
-// main is the goroutine body: wait to be scheduled, run the workload, then
-// hand control to the next thread (or report the end of the run). A
-// workload panic stops the run and is re-raised by Execute.
-func (t *Thread) main(body func(*Thread)) {
+// main is the coroutine body, which lives as long as the thread's
+// coroutine: each pass runs the workload for one Execute, picks the thread
+// to run next (or reports the end of the run), and suspends until the next
+// run. A workload panic stops the run and is re-raised by Execute.
+func (t *Thread) main(yield func(struct{}) bool) {
 	m := t.m
-	var pval any
-	func() {
-		defer func() { pval = recover() }()
-		t.park()
-		body(t)
-	}()
-	if _, ok := pval.(stopRun); ok {
-		m.done <- struct{}{}
-		return
-	}
-	t.finished = true
-	if pval != nil {
-		m.stopping = true
-		m.panicked = fmt.Sprintf("sim: thread %d panicked: %v", t.id, pval)
-		m.done <- struct{}{}
-		return
-	}
-	next, err := m.schedule()
-	switch {
-	case err != nil:
-		m.stop(err)
-		m.done <- struct{}{}
-	case next == nil: // the last thread finished
-		m.done <- struct{}{}
-	default:
-		next.resume <- struct{}{}
+	t.coYield = yield
+	for {
+		var pval any
+		func() {
+			defer func() { pval = recover() }()
+			m.workload.Run(t)
+		}()
+		if _, ok := pval.(stopRun); !ok {
+			t.finished = true
+			if pval != nil {
+				m.stopping = true
+				m.panicked = fmt.Sprintf("sim: thread %d panicked: %v", t.id, pval)
+			} else if next, err := m.schedule(); err != nil {
+				m.stop(err)
+			} else {
+				m.handoff = next // nil when the last thread finished
+			}
+		}
+		if !yield(struct{}{}) {
+			return
+		}
 	}
 }
 
 // yield ends the thread's current op: it picks the next thread itself and,
-// unless that is this thread again, hands control to it directly and sleeps
-// until resumed.
+// unless that is this thread again, suspends back to Execute's run loop,
+// which resumes the picked thread.
 func (t *Thread) yield() {
 	m := t.m
 	if m.stopping {
@@ -162,18 +166,12 @@ func (t *Thread) yield() {
 	}
 	if err != nil {
 		m.stop(err)
-		t.finished = true
 		panic(stopRun{})
 	}
-	next.resume <- struct{}{}
-	t.park()
-}
-
-// park blocks until the thread is resumed, and unwinds it if the run
-// stopped meanwhile.
-func (t *Thread) park() {
-	<-t.resume
-	if t.m.stopping {
+	m.handoff = next
+	if !t.coYield(struct{}{}) {
+		// Retired while suspended: the run stopped, and Execute unwinds
+		// every thread.
 		panic(stopRun{})
 	}
 }
