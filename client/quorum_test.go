@@ -111,6 +111,32 @@ func TestQuorumOutvotesLiar(t *testing.T) {
 	}
 }
 
+// TestQuorumAgreesAcrossResponseShapes: two honest daemons, one answering
+// the cell from its cache inside the submit response and one answering it
+// through a job view after simulating, agree: the vote compares the
+// result's bytes, not the whitespace of the response that carried them.
+func TestQuorumAgreesAcrossResponseShapes(t *testing.T) {
+	var urls []string
+	c := quorumFleet(t, 2, 2, func(i int, s *service.Server) *httptest.Server {
+		ts := httptest.NewServer(s.Handler())
+		urls = append(urls, ts.URL)
+		return ts
+	})
+	ctx := testCtx(t)
+	cell := service.JobRequest{Workload: "kmeans", Detection: "subblock-4", Scale: "tiny"}
+	// Warm only the first daemon's cache.
+	if _, err := New(urls[0], fastOpts()).RunCell(ctx, cell); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := c.RunCell(ctx, cell); err != nil {
+		t.Fatalf("honest fleet did not agree: %v", err)
+	}
+	if st := c.Stats(); st.QuorumDivergences != 0 {
+		t.Fatalf("honest fleet produced divergences: %+v", st)
+	}
+}
+
 // TestQuorumSplitUnresolved: with only two endpoints and one of them
 // lying, a 1-1 split has no majority and no tie-breaker to pull — the
 // client must refuse to guess rather than return possibly-wrong bytes.

@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 )
@@ -28,6 +29,9 @@ func (c Config) Sets() int { return c.SizeBytes / (c.LineSize * c.Assoc) }
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.LineSize <= 0 || c.Assoc <= 0 {
 		return fmt.Errorf("cache %s: non-positive size/line/assoc", c.Name)
+	}
+	if c.LineSize&(c.LineSize-1) != 0 {
+		return fmt.Errorf("cache %s: line size %d is not a power of two", c.Name, c.LineSize)
 	}
 	if c.SizeBytes%(c.LineSize*c.Assoc) != 0 {
 		return fmt.Errorf("cache %s: size %d not divisible by line*assoc", c.Name, c.SizeBytes)
@@ -54,11 +58,13 @@ type way struct {
 // the coherence package. All sets share one flat backing slice (set s is
 // ways[s*Assoc : (s+1)*Assoc]) so building a cache is a single allocation.
 type Cache struct {
-	cfg   Config
-	ways  []way
-	nsets uint64
-	epoch uint32
-	clock uint64 // LRU stamp source
+	cfg     Config
+	ways    []way
+	shift   uint   // log2(LineSize): line address >> shift = line number
+	setMask uint64 // sets - 1: line number & setMask = set index
+	assoc   uint64
+	epoch   uint32
+	clock   uint64 // LRU stamp source
 
 	// Statistics.
 	Hits, Misses, Evictions uint64
@@ -70,10 +76,12 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	return &Cache{
-		cfg:   cfg,
-		ways:  make([]way, cfg.Sets()*cfg.Assoc),
-		nsets: uint64(cfg.Sets()),
-		epoch: 1,
+		cfg:     cfg,
+		ways:    make([]way, cfg.Sets()*cfg.Assoc),
+		shift:   uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		setMask: uint64(cfg.Sets() - 1),
+		assoc:   uint64(cfg.Assoc),
+		epoch:   1,
 	}
 }
 
@@ -96,9 +104,11 @@ func (c *Cache) Reset() {
 	c.Hits, c.Misses, c.Evictions = 0, 0, 0
 }
 
+// set returns the ways of l's set. Validate guarantees power-of-two line
+// size and set count, so the index is a shift and a mask.
 func (c *Cache) set(l mem.LineAddr) []way {
-	si := uint64(l) / uint64(c.cfg.LineSize) % c.nsets
-	return c.ways[si*uint64(c.cfg.Assoc) : (si+1)*uint64(c.cfg.Assoc)]
+	base := (uint64(l) >> c.shift & c.setMask) * c.assoc
+	return c.ways[base : base+c.assoc]
 }
 
 // Lookup reports whether line l is present, updating LRU on hit.
@@ -113,6 +123,22 @@ func (c *Cache) Lookup(l mem.LineAddr) bool {
 		}
 	}
 	c.Misses++
+	return false
+}
+
+// hit refreshes l's LRU stamp and counts a hit if l is present, and
+// changes nothing if it is not: one scan for Hierarchy.Access, which
+// counts hits only at the level that serves the access.
+func (c *Cache) hit(l mem.LineAddr) bool {
+	set := c.set(l)
+	for i := range set {
+		if set[i].live == c.epoch && set[i].tag == l {
+			c.clock++
+			set[i].lru = c.clock
+			c.Hits++
+			return true
+		}
+	}
 	return false
 }
 
@@ -133,26 +159,28 @@ func (c *Cache) Contains(l mem.LineAddr) bool {
 func (c *Cache) Insert(l mem.LineAddr) (victim mem.LineAddr, evicted bool) {
 	set := c.set(l)
 	c.clock++
-	// Already present?
+	// One scan finds the line if present, else the first free way, else
+	// the LRU way (the first with the smallest stamp; only consulted when
+	// every way is valid).
+	free, vi := -1, 0
 	for i := range set {
-		if set[i].live == c.epoch && set[i].tag == l {
+		if set[i].live != c.epoch {
+			if free < 0 {
+				free = i
+			}
+			continue
+		}
+		if set[i].tag == l {
 			set[i].lru = c.clock
 			return 0, false
 		}
-	}
-	// Free way?
-	for i := range set {
-		if set[i].live != c.epoch {
-			set[i] = way{tag: l, lru: c.clock, live: c.epoch}
-			return 0, false
-		}
-	}
-	// Evict LRU.
-	vi := 0
-	for i := 1; i < len(set); i++ {
 		if set[i].lru < set[vi].lru {
 			vi = i
 		}
+	}
+	if free >= 0 {
+		set[free] = way{tag: l, lru: c.clock, live: c.epoch}
+		return 0, false
 	}
 	victim = set[vi].tag
 	set[vi] = way{tag: l, lru: c.clock, live: c.epoch}
@@ -209,8 +237,8 @@ func (c *Cache) Touch(l mem.LineAddr) {
 	}
 }
 
-// Pin returns the lines currently resident in the same set as l. Used by
-// tests to verify replacement behaviour.
+// SetContents returns the lines currently resident in the same set as l.
+// Used by tests to verify replacement behaviour.
 func (c *Cache) SetContents(l mem.LineAddr) []mem.LineAddr {
 	set := c.set(l)
 	var out []mem.LineAddr

@@ -25,6 +25,7 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 64 << 10, LineSize: 64, Assoc: 0},
 		{SizeBytes: 100, LineSize: 64, Assoc: 2},        // not divisible
 		{SizeBytes: 3 * 64 * 2, LineSize: 64, Assoc: 2}, // 3 sets: not power of two
+		{SizeBytes: 4 * 48 * 2, LineSize: 48, Assoc: 2}, // 4 sets, but 48-byte lines
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {

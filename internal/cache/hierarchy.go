@@ -88,6 +88,12 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // Config returns the hierarchy configuration.
 func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
+// MemLatency returns the main-memory load-to-use latency.
+func (h *Hierarchy) MemLatency() int64 { return h.cfg.MemLatency }
+
+// BusLatency returns the cache-to-cache transfer latency.
+func (h *Hierarchy) BusLatency() int64 { return h.cfg.BusLatency }
+
 // Reset empties all three levels (epoch bump per level, no reallocation)
 // so the stack can be reused for a fresh run.
 func (h *Hierarchy) Reset() {
@@ -151,16 +157,17 @@ type EvictionSet struct {
 // line everywhere; the caller must drop coherence state for it.
 func (h *Hierarchy) Access(l mem.LineAddr) (Level, EvictionSet) {
 	var ev EvictionSet
-	lv := h.Probe(l)
-	switch lv {
-	case LevelL1:
-		h.l1.Lookup(l) // refresh LRU, count hit
+	var lv Level
+	// hit refreshes LRU and counts a hit at the serving level only.
+	switch {
+	case h.l1.hit(l):
 		return LevelL1, ev
-	case LevelL2:
-		h.l2.Lookup(l)
-	case LevelL3:
-		h.l3.Lookup(l)
+	case h.l2.hit(l):
+		lv = LevelL2
+	case h.l3.hit(l):
+		lv = LevelL3
 	default:
+		lv = LevelMiss
 		// Full miss: install bottom-up so inclusion holds even if the
 		// L3 insert evicts something resident above.
 		if v, ok := h.l3.Insert(l); ok {

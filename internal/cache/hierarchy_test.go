@@ -53,6 +53,32 @@ func TestHierarchyL1VictimStaysBelow(t *testing.T) {
 	}
 }
 
+// TestHierarchyAccessCounters: Access counts one hit at the level that
+// serves it, and nothing at levels that miss or on a full miss.
+func TestHierarchyAccessCounters(t *testing.T) {
+	h := tinyHierarchy()
+	count := func() [6]uint64 {
+		return [6]uint64{h.l1.Hits, h.l1.Misses, h.l2.Hits, h.l2.Misses, h.l3.Hits, h.l3.Misses}
+	}
+	a, b, c := mem.LineAddr(0*64), mem.LineAddr(2*64), mem.LineAddr(6*64)
+	h.Access(a) // full miss
+	if got := count(); got != [6]uint64{} {
+		t.Fatalf("after full miss: %v, want all zero", got)
+	}
+	h.Access(a) // L1 hit
+	if got, want := count(), [6]uint64{1, 0, 0, 0, 0, 0}; got != want {
+		t.Fatalf("after L1 hit: %v, want %v", got, want)
+	}
+	h.Access(b)
+	h.Access(c) // evicts a from L1; it stays in L2
+	if lv, _ := h.Access(a); lv != LevelL2 {
+		t.Fatalf("a served from %v, want L2", lv)
+	}
+	if got, want := count(), [6]uint64{1, 0, 1, 0, 0, 0}; got != want {
+		t.Fatalf("after L2 hit: %v, want %v", got, want)
+	}
+}
+
 func TestHierarchyL3EvictionExpelsEverywhere(t *testing.T) {
 	h := tinyHierarchy()
 	// L3 set has 2 ways; reference 3 lines mapping to the same L3 set.

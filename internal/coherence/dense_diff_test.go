@@ -8,24 +8,22 @@ import (
 )
 
 // This file differentially tests the dense epoch-versioned line tables
-// against a reference bus that keeps the pre-dense map-per-line storage.
-// The two implementations share the protocol logic verbatim; only the
-// storage layer differs, so driving both over the same randomized op
-// stream and demanding identical states, results, stats and directory
-// behavior pins down exactly the invariant the dense rewrite claims:
+// against a reference bus that keeps map-per-line storage. The two
+// implementations share the protocol logic; only the storage layer and the
+// shape of the delivery loop differ, so driving both over the same
+// randomized op stream and demanding identical states, results, stats and
+// snoop targets pins down exactly the invariant the dense tables claim:
 // byte-for-byte equivalence with the maps.
 
-// refBus is the pre-dense-table bus: identical protocol code, map storage.
+// refBus is the map-storage reference bus. Its snoop filter is the holder
+// set kept as a map, and its delivery loop tests every core's bit in turn.
 type refBus struct {
 	ncores   int
 	snoopers []Snooper
 	states   map[mem.LineAddr][]State
-	touched  map[mem.LineAddr]uint64
+	held     map[mem.LineAddr]uint64
 	nsubs    int
 	filterOn bool
-
-	compactEvery uint64
-	sinceCompact uint64
 
 	Stats Stats
 }
@@ -35,7 +33,7 @@ func newRefBus(ncores int) *refBus {
 		ncores:   ncores,
 		snoopers: make([]Snooper, ncores),
 		states:   make(map[mem.LineAddr][]State),
-		touched:  make(map[mem.LineAddr]uint64),
+		held:     make(map[mem.LineAddr]uint64),
 		nsubs:    1,
 	}
 }
@@ -47,11 +45,10 @@ func (b *refBus) EnableSnoopFilter() {
 		return
 	}
 	b.filterOn = true
-	b.compactEvery = DefaultFilterCompactionInterval
 }
 
-func (b *refBus) SetFilterCompactionInterval(n uint64) { b.compactEvery = n }
-func (b *refBus) FilterDirectorySize() int             { return len(b.touched) }
+func (b *refBus) Hold(core int, line mem.LineAddr)    { b.held[line] |= 1 << uint(core) }
+func (b *refBus) Release(core int, line mem.LineAddr) { b.held[line] &^= 1 << uint(core) }
 
 func (b *refBus) entry(line mem.LineAddr) []State {
 	st, ok := b.states[line]
@@ -75,60 +72,15 @@ func (b *refBus) maybeRelease(line mem.LineAddr) {
 	delete(b.states, line)
 }
 
-func (b *refBus) markTouched(core int, line mem.LineAddr) {
-	if !b.filterOn {
-		return
-	}
-	b.touched[line] |= 1 << uint(core)
-}
-
-func (b *refBus) snoopTargets(line mem.LineAddr) uint64 { return b.touched[line] }
-
-func (b *refBus) maybeCompact() {
-	if !b.filterOn || b.compactEvery == 0 {
-		return
-	}
-	b.sinceCompact++
-	if b.sinceCompact < b.compactEvery {
-		return
-	}
-	b.sinceCompact = 0
-	b.CompactFilter()
-}
-
-func (b *refBus) CompactFilter() {
-	if !b.filterOn {
-		return
-	}
-	b.Stats.FilterCompactions++
-	for line, mask := range b.touched {
-		if _, live := b.states[line]; live {
-			continue
-		}
-		held := false
-		for c := 0; c < b.ncores; c++ {
-			if mask&(1<<uint(c)) == 0 {
-				continue
-			}
-			s := b.snoopers[c]
-			if s == nil {
-				continue
-			}
-			if h, ok := s.(StateHolder); ok {
-				if h.HoldsLineState(line) {
-					held = true
-					break
-				}
-			} else {
-				held = true
-				break
-			}
-		}
-		if !held {
-			delete(b.touched, line)
-			b.Stats.FilterEntriesDropped++
+// snoopTargets is the holder set plus every core with a valid copy.
+func (b *refBus) snoopTargets(line mem.LineAddr) uint64 {
+	t := b.held[line]
+	for c, s := range b.states[line] {
+		if s.Valid() {
+			t |= 1 << uint(c)
 		}
 	}
+	return t
 }
 
 func (b *refBus) State(core int, line mem.LineAddr) State {
@@ -164,8 +116,6 @@ func (b *refBus) Read(core int, line mem.LineAddr, off, size int, tx, force bool
 	if st[core].Valid() && !force {
 		return ReadResult{Source: SourceLocal}
 	}
-	b.maybeCompact()
-	b.markTouched(core, line)
 	b.Stats.ProbesShared++
 	var mask uint64
 	targets := b.snoopTargets(line)
@@ -234,8 +184,6 @@ func (b *refBus) Write(core int, line mem.LineAddr, off, size int, tx bool) Writ
 		b.Stats.SilentStores++
 		return WriteResult{Source: SourceLocal, SilentUpgrade: true}
 	}
-	b.maybeCompact()
-	b.markTouched(core, line)
 	b.Stats.ProbesInvalidate++
 	targets := b.snoopTargets(line)
 	for c := 0; c < b.ncores; c++ {
@@ -304,10 +252,11 @@ func (b *refBus) Drop(core int, line mem.LineAddr, discard bool) {
 
 // ---------------------------------------------------------------------------
 // Deterministic stub snooper, instantiated once per bus with identical
-// behavior: it hash-decides conflicts, piggyback masks, per-line state
-// holding, and occasionally performs a REENTRANT Drop on its own bus from
-// inside Snoop — the hardest path the dense tables must survive (entry
-// release while a caller holds the state slice).
+// behavior: it hash-decides conflicts and piggyback masks, and sometimes
+// performs a REENTRANT Drop of its own copy or Release of its own holder
+// bit from inside Snoop (an abort, or an engine forgetting its state) — the
+// hardest paths the dense tables must survive (entry release while a
+// caller holds the state slice, holder-set change mid-broadcast).
 // ---------------------------------------------------------------------------
 
 func diffMix(vs ...uint64) uint64 {
@@ -321,8 +270,9 @@ func diffMix(vs ...uint64) uint64 {
 }
 
 type diffSnooper struct {
-	id   int
-	drop func(core int, line mem.LineAddr, discard bool)
+	id      int
+	drop    func(core int, line mem.LineAddr, discard bool)
+	release func(core int, line mem.LineAddr)
 }
 
 func (s *diffSnooper) Snoop(p Probe) Reply {
@@ -335,6 +285,10 @@ func (s *diffSnooper) Snoop(p Probe) Reply {
 		// Reentrant release of our own copy mid-broadcast.
 		s.drop(s.id, p.Line, h&8 != 0)
 	}
+	if h%11 == 0 {
+		// Reentrant release of our own per-line state.
+		s.release(s.id, p.Line)
+	}
 	if !p.Invalidating && h%5 == 0 {
 		return Reply{WrittenMask: (h >> 32) & 0xF}
 	}
@@ -343,10 +297,6 @@ func (s *diffSnooper) Snoop(p Probe) Reply {
 
 func (s *diffSnooper) WouldConflict(p Probe) bool {
 	return diffMix(uint64(p.Line), uint64(p.From), uint64(s.id), 0xc0fe)%3 == 0
-}
-
-func (s *diffSnooper) HoldsLineState(l mem.LineAddr) bool {
-	return diffMix(uint64(l), uint64(s.id), 0x401d)%4 == 0
 }
 
 // TestDenseBusMatchesMapReference drives the dense bus and the map
@@ -364,46 +314,44 @@ func TestDenseBusMatchesMapReference(t *testing.T) {
 	}
 
 	for _, variant := range []struct {
-		name    string
-		filter  bool
-		compact uint64
+		name   string
+		filter bool
 	}{
-		{"filter-off", false, 0},
-		{"filter-on", true, 0},
-		{"filter-compacting", true, 8},
+		{"filter-off", false},
+		{"filter-on", true},
 	} {
 		t.Run(variant.name, func(t *testing.T) {
 			dense := NewBus(ncores, mem.DefaultGeometry)
 			ref := newRefBus(ncores)
+			denseRelease := func(core int, l mem.LineAddr) { dense.Release(core, dense.LineIndex().Index(l)) }
 			for c := 0; c < ncores; c++ {
-				dense.Register(c, &diffSnooper{id: c, drop: dense.Drop})
-				ref.Register(c, &diffSnooper{id: c, drop: ref.Drop})
+				dense.Register(c, &diffSnooper{id: c, drop: dense.Drop, release: denseRelease})
+				ref.Register(c, &diffSnooper{id: c, drop: ref.Drop, release: ref.Release})
 			}
 			if variant.filter {
 				dense.EnableSnoopFilter()
 				ref.EnableSnoopFilter()
-				dense.SetFilterCompactionInterval(variant.compact)
-				ref.SetFilterCompactionInterval(variant.compact)
 			}
 
 			r := rng.New(0xd1ff)
 			for op := 0; op < ops; op++ {
 				core := r.Intn(ncores)
 				line := lines[r.Intn(nlines)]
+				idx := dense.LineIndex().Index(line)
 				off := r.Intn(56)
 				size := 1 << uint(r.Intn(4))
-				switch k := r.Intn(10); {
+				switch k := r.Intn(12); {
 				case k < 4: // read
 					tx := r.Intn(2) == 0
 					force := r.Intn(8) == 0
-					dr := dense.Read(core, line, off, size, tx, force)
+					dr := dense.Read(core, idx, off, size, tx, force)
 					rr := ref.Read(core, line, off, size, tx, force)
 					if dr != rr {
 						t.Fatalf("op %d: Read(%d, %#x) dense %+v != ref %+v", op, core, uint64(line), dr, rr)
 					}
 				case k < 8: // write
 					tx := r.Intn(2) == 0
-					dw := dense.Write(core, line, off, size, tx)
+					dw := dense.Write(core, idx, off, size, tx)
 					rw := ref.Write(core, line, off, size, tx)
 					if dw != rw {
 						t.Fatalf("op %d: Write(%d, %#x) dense %+v != ref %+v", op, core, uint64(line), dw, rw)
@@ -412,17 +360,21 @@ func TestDenseBusMatchesMapReference(t *testing.T) {
 					discard := r.Intn(2) == 0
 					dense.Drop(core, line, discard)
 					ref.Drop(core, line, discard)
+				case k < 11: // the core's own per-line state appears or goes
+					if r.Intn(2) == 0 {
+						dense.Hold(core, idx)
+						ref.Hold(core, line)
+					} else {
+						dense.Release(core, idx)
+						ref.Release(core, line)
+					}
 				default: // holder-wins pre-check
 					inv := r.Intn(2) == 0
-					dc := dense.WouldConflict(core, line, off, size, inv)
+					dc := dense.WouldConflict(core, idx, off, size, inv)
 					rc := ref.WouldConflict(core, line, off, size, inv)
 					if dc != rc {
 						t.Fatalf("op %d: WouldConflict dense %v != ref %v", op, dc, rc)
 					}
-				}
-				if op%97 == 0 {
-					dense.CompactFilter()
-					ref.CompactFilter()
 				}
 				compareBuses(t, op, dense, ref, lines)
 			}
@@ -441,15 +393,12 @@ func compareBuses(t *testing.T, op int, dense *Bus, ref *refBus, lines []mem.Lin
 		if dh, rh := dense.hasLiveState(l), func() bool { _, ok := ref.states[l]; return ok }(); dh != rh {
 			t.Fatalf("op %d: live-entry(%#x) dense %v != ref %v", op, uint64(l), dh, rh)
 		}
-		if dt, rt := dense.snoopTargets(l), ref.snoopTargets(l); dt != rt {
+		if dt, rt := dense.snoopTargets(dense.LineIndex().Index(l)), ref.snoopTargets(l); dt != rt {
 			t.Fatalf("op %d: snoopTargets(%#x) dense %#x != ref %#x", op, uint64(l), dt, rt)
 		}
 	}
 	if dn, rn := dense.liveStateCount(), len(ref.states); dn != rn {
 		t.Fatalf("op %d: live state entries dense %d != ref %d", op, dn, rn)
-	}
-	if df, rf := dense.FilterDirectorySize(), ref.FilterDirectorySize(); dense.filterOn && df != rf {
-		t.Fatalf("op %d: directory size dense %d != ref %d", op, df, rf)
 	}
 	if dense.Stats != ref.Stats {
 		t.Fatalf("op %d: stats diverged\ndense: %+v\nref:   %+v", op, dense.Stats, ref.Stats)

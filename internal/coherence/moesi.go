@@ -13,6 +13,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 )
@@ -55,6 +56,7 @@ func (s State) CanWriteSilently() bool { return s == Modified || s == Exclusive 
 type Probe struct {
 	From          int          // requesting core id
 	Line          mem.LineAddr // probed line
+	Idx           int          // Line's dense index in the bus's LineIndex
 	Off, Size     int          // byte footprint of the triggering access within the line
 	Invalidating  bool         // true for GetX/upgrade, false for GetS
 	Transactional bool         // the triggering access is speculative
@@ -84,23 +86,11 @@ type ConflictChecker interface {
 	WouldConflict(p Probe) bool
 }
 
-// StateHolder is optionally implemented by snoopers that can report,
-// without side effects, whether they hold ANY per-line state for a line
-// (speculative bits, dirty marks, retained-invalid state). The snoop
-// filter's epoch compaction uses it to prove a directory entry dead: a
-// core with no coherence copy and no per-line state treats any probe of
-// the line as a complete no-op, so its filter bit can be dropped without
-// changing a single detection outcome. Snoopers that do not implement it
-// are conservatively assumed to always hold state (their entries are
-// never compacted).
-type StateHolder interface {
-	HoldsLineState(l mem.LineAddr) bool
-}
-
 // WouldConflict runs the side-effect-free pre-check against every remote
-// snooper implementing ConflictChecker.
-func (b *Bus) WouldConflict(core int, line mem.LineAddr, off, size int, invalidating bool) bool {
-	targets := b.snoopTargets(line)
+// snooper implementing ConflictChecker. idx is the line's dense index.
+func (b *Bus) WouldConflict(core, idx, off, size int, invalidating bool) bool {
+	line := b.lines.Line(idx)
+	targets := b.snoopTargets(idx)
 	for c := 0; c < b.ncores; c++ {
 		if c == core || b.snoopers[c] == nil {
 			continue
@@ -110,7 +100,7 @@ func (b *Bus) WouldConflict(core int, line mem.LineAddr, off, size int, invalida
 		}
 		if cc, ok := b.snoopers[c].(ConflictChecker); ok {
 			if cc.WouldConflict(Probe{
-				From: core, Line: line, Off: off, Size: size,
+				From: core, Line: line, Idx: idx, Off: off, Size: size,
 				Invalidating: invalidating, Transactional: true,
 			}) {
 				return true
@@ -155,10 +145,6 @@ type Stats struct {
 	PiggybackedMasks  uint64 // replies that carried a non-zero written mask
 	PiggybackBitsSent uint64 // total mask bits transferred (N per masked reply)
 	FilteredSnoops    uint64 // per-core probe deliveries elided by the snoop filter
-
-	// Snoop-filter directory compaction (epoch-based; see CompactFilter).
-	FilterCompactions    uint64 // compaction passes run
-	FilterEntriesDropped uint64 // directory entries reclaimed by compaction
 }
 
 // Bus is the broadcast snooping interconnect plus the per-core MOESI state
@@ -168,50 +154,33 @@ type Stats struct {
 //
 // Storage is dense rather than map-keyed: the bus owns a mem.LineIndexer
 // that assigns each line a compact index in first-touch order, and both the
-// state table and the snoop-filter directory are flat slices over that
-// index space. An entry is live only when its epoch stamp equals the bus
-// epoch, so releasing an entry is one store and clearing everything (Reset,
-// for machine reuse) is one integer bump. The semantics are exactly those
-// of the former maps: a dead state entry reads as all-Invalid, a dead
-// directory entry as never-touched.
+// state table and the snoop filter's holder set are flat slices over that
+// index space. Callers resolve a line's index once and pass it to Read,
+// Write and WouldConflict. A state entry is live only when its epoch stamp
+// equals the bus epoch, so releasing an entry is one store and clearing
+// every entry (Reset, for machine reuse) is one integer bump; a dead entry
+// reads as all-Invalid, exactly as an absent map entry did.
 type Bus struct {
-	ncores   int
-	snoopers []Snooper
-	lines    *mem.LineIndexer
-	states   []State  // index i's entry is states[i*ncores : (i+1)*ncores]
-	stEpoch  []uint64 // states entry i live iff stEpoch[i] == epoch
-	nsubs    int      // sub-blocks per line, for piggyback accounting
+	ncores     int
+	snoopers   []Snooper
+	registered uint64 // bit c set once snoopers[c] is registered (cores < 64 only)
+	lines      *mem.LineIndexer
+	states     []State  // index i's entry is states[i*ncores : (i+1)*ncores]
+	stEpoch    []uint64 // states entry i live iff stEpoch[i] == epoch
+	nsubs      int      // sub-blocks per line, for piggyback accounting
 
-	// touched is the snoop-filter directory: bit c of touched[i] is set
-	// once core c has issued any bus transaction for line index i. The set
-	// is MONOTONE — bits are never cleared, even when every coherence copy
-	// is released — because a core may retain speculative state inside an
-	// invalidated line (§IV-D-2) long after its copy left the protocol,
-	// and that state must keep seeing probes. See EnableSnoopFilter for
-	// the soundness argument.
-	touched  []uint64
-	tEpoch   []uint64 // touched entry i live iff tEpoch[i] == epoch
-	tCount   int      // number of live directory entries
+	// held is the snoop filter's holder set: bit c of held[i] is set
+	// exactly while core c's snooper keeps per-line state for line index i
+	// (speculative bits, dirty marks, or state retained inside an
+	// invalidated line, §IV-D-2). Snoopers maintain it through Hold and
+	// Release; see EnableSnoopFilter for how probes use it.
+	held     []uint64
 	filterOn bool
 
 	epoch uint64 // current liveness stamp; starts at 1, bumped by Reset
 
-	// Epoch-based directory compaction: every compactEvery bus
-	// transactions, touched entries whose lines are provably dead (no
-	// coherence copy anywhere, no snooper holding per-line state) are
-	// reclaimed, so long traces with churning working sets don't grow the
-	// directory without bound. 0 disables compaction.
-	compactEvery uint64
-	sinceCompact uint64
-
 	Stats Stats
 }
-
-// DefaultFilterCompactionInterval is the bus-transaction count between
-// snoop-filter compaction passes. Large enough that the linear directory
-// scan amortizes to noise, small enough that the directory tracks the
-// resident working set rather than the whole trace history.
-const DefaultFilterCompactionInterval = 1 << 16
 
 // NewBus creates a bus for ncores cores and lines of geometry g. Snoopers
 // are registered afterwards (the ASF engines need the bus to exist first).
@@ -229,7 +198,12 @@ func NewBus(ncores int, g mem.Geometry) *Bus {
 }
 
 // Register installs the snooper for core id.
-func (b *Bus) Register(id int, s Snooper) { b.snoopers[id] = s }
+func (b *Bus) Register(id int, s Snooper) {
+	b.snoopers[id] = s
+	if id < 64 && s != nil {
+		b.registered |= 1 << uint(id)
+	}
+}
 
 // LineIndex exposes the bus's line indexer so per-core structures keyed by
 // the same lines (engine speculative state, oracle footprints) can share
@@ -238,17 +212,16 @@ func (b *Bus) LineIndex() *mem.LineIndexer { return b.lines }
 
 // Reset returns the bus to its just-constructed state (empty tables, zero
 // stats, filter off, one sub-block) without reallocating: the liveness
-// epoch is bumped, which kills every state and directory entry at once,
-// and the line indexer is cleared so a reused machine assigns indices in
-// exactly fresh-machine order. Registered snoopers are kept; callers that
-// rebuild their cores re-Register over them.
+// epoch is bumped, which kills every state entry at once, the holder bits
+// of every index this run assigned are cleared, and the line indexer is
+// cleared so a reused machine assigns indices in exactly fresh-machine
+// order. Registered snoopers are kept; callers that rebuild their cores
+// re-Register over them.
 func (b *Bus) Reset() {
 	b.epoch++
+	clear(b.held[:min(len(b.held), b.lines.Len())])
 	b.lines.Reset()
-	b.tCount = 0
 	b.filterOn = false
-	b.compactEvery = 0
-	b.sinceCompact = 0
 	b.nsubs = 1
 	b.Stats = Stats{}
 }
@@ -259,143 +232,98 @@ func (b *Bus) Reset() {
 func (b *Bus) ensure(idx int) {
 	for len(b.stEpoch) <= idx {
 		b.stEpoch = append(b.stEpoch, 0)
-		b.tEpoch = append(b.tEpoch, 0)
-		b.touched = append(b.touched, 0)
+		b.held = append(b.held, 0)
 		for c := 0; c < b.ncores; c++ {
 			b.states = append(b.states, Invalid)
 		}
 	}
 }
 
-// EnableSnoopFilter turns on the ever-touched snoop filter: probe
-// broadcasts (and holder-wins pre-checks) skip cores that have never
-// issued a bus transaction for the probed line. This is protocol-invisible
-// and changes no detection result, because for such a core Snoop is a
-// complete no-op: it holds no coherence state for the line (only its own
-// Read/Write install one) and no speculative per-line state (markSpec and
-// piggyback marks only follow its own bus transactions), so the snoop
-// could neither conflict, reply with a mask, nor have housekeeping to do.
+// EnableSnoopFilter turns on the snoop filter: a probe of a line (and a
+// holder-wins pre-check) reaches only the cores that hold a valid copy of
+// it or whose snooper holds per-line state for it (Hold). This is
+// protocol-invisible and changes no detection result, because for every
+// other core Snoop is a complete no-op: with no coherence copy there is
+// nothing to invalidate, and with no per-line state no conflict can fire,
+// no piggyback mask can be replied and no housekeeping is left to do.
 //
 // The one detection scheme this reasoning does NOT cover is Bloom
 // signatures (core.ModeSignature): a signature can alias-hit on a line
-// the core never touched — that false conflict is part of the modeled
-// scheme and must fire. The machine therefore leaves the filter off for
-// signature runs. Buses with more than 64 cores exceed the directory's
-// bitmask width and silently keep the filter off.
+// the core holds no state for — that false conflict is part of the
+// modeled scheme and must fire. The machine therefore leaves the filter
+// off for signature runs. Buses with more than 64 cores exceed the holder
+// set's bitmask width and silently keep the filter off.
 func (b *Bus) EnableSnoopFilter() {
 	if b.ncores > 64 {
 		return
 	}
 	b.filterOn = true
-	b.compactEvery = DefaultFilterCompactionInterval
 }
 
-// SetFilterCompactionInterval overrides the number of bus transactions
-// between snoop-filter compaction passes (0 disables compaction, which
-// restores the original grow-without-bound monotone directory). Any
-// value yields bit-identical simulation results — compaction only drops
-// entries whose probes were already no-ops — so this knob exists for
-// tests and memory tuning, not correctness.
-func (b *Bus) SetFilterCompactionInterval(n uint64) { b.compactEvery = n }
-
-// FilterDirectorySize returns the number of lines currently tracked by
-// the snoop-filter directory (0 when the filter is off).
-func (b *Bus) FilterDirectorySize() int { return b.tCount }
-
-// maybeCompact ticks the compaction epoch; called once per bus
-// transaction, before any probe of that transaction is delivered.
-func (b *Bus) maybeCompact() {
-	if !b.filterOn || b.compactEvery == 0 {
+// Hold records that core's snooper now keeps per-line state for line index
+// idx, and Release that it no longer does. A snooper must call Hold on
+// every absent → present transition of its state for a line and Release
+// on every present → absent one, whether or not the filter is on: the
+// filter's soundness rests on the holder set being exact. Cores past the
+// 64-bit mask width are not tracked (the filter stays off for them).
+func (b *Bus) Hold(core, idx int) {
+	if core >= 64 {
 		return
 	}
-	b.sinceCompact++
-	if b.sinceCompact < b.compactEvery {
-		return
-	}
-	b.sinceCompact = 0
-	b.CompactFilter()
-}
-
-// CompactFilter reclaims snoop-filter directory entries for dead lines.
-// An entry is dead when (a) no core holds a coherence copy of the line —
-// the state-table entry was released — and (b) no snooper whose filter
-// bit is set still holds per-line state for it (StateHolder). For such a
-// line every elided probe was already a complete no-op, so dropping the
-// entry changes no detection outcome and no simulated cycle; a core that
-// touches the line again simply re-registers via markTouched, exactly as
-// it did the first time. The per-line predicate is independent of every
-// other line, so the scan order (index order here, map order before the
-// dense tables) cannot influence anything observable and determinism is
-// preserved.
-func (b *Bus) CompactFilter() {
-	if !b.filterOn {
-		return
-	}
-	b.Stats.FilterCompactions++
-	for idx := range b.tEpoch {
-		if b.tEpoch[idx] != b.epoch {
-			continue
-		}
-		if b.stEpoch[idx] == b.epoch {
-			continue
-		}
-		line := b.lines.Line(idx)
-		mask := b.touched[idx]
-		held := false
-		for c := 0; c < b.ncores; c++ {
-			if mask&(1<<uint(c)) == 0 {
-				continue
-			}
-			s := b.snoopers[c]
-			if s == nil {
-				// No snooper registered: probes to this core are skipped
-				// unconditionally, so its bit holds nothing alive.
-				continue
-			}
-			if h, ok := s.(StateHolder); ok {
-				if h.HoldsLineState(line) {
-					held = true
-					break
-				}
-			} else {
-				// Unknown snooper implementation: assume it cares.
-				held = true
-				break
-			}
-		}
-		if !held {
-			b.tEpoch[idx] = 0
-			b.tCount--
-			b.Stats.FilterEntriesDropped++
-		}
-	}
-}
-
-// markTouched records core as a (past or present) toucher of line.
-func (b *Bus) markTouched(core int, line mem.LineAddr) {
-	if !b.filterOn {
-		return
-	}
-	idx := b.lines.Index(line)
 	b.ensure(idx)
-	if b.tEpoch[idx] != b.epoch {
-		b.tEpoch[idx] = b.epoch
-		b.touched[idx] = 0
-		b.tCount++
-	}
-	b.touched[idx] |= 1 << uint(core)
+	b.held[idx] |= 1 << uint(core)
 }
 
-// snoopTargets returns the bitmask of cores whose snoopers must see a
-// probe of line. Only meaningful when the filter is on (which implies
-// ncores <= 64, so every core has a bit); callers must check filterOn —
-// a `1 << c` test against an all-ones sentinel would silently drop cores
-// at c >= 64 because Go shifts past the width yield zero.
-func (b *Bus) snoopTargets(line mem.LineAddr) uint64 {
-	if idx, ok := b.lines.Lookup(line); ok && idx < len(b.tEpoch) && b.tEpoch[idx] == b.epoch {
-		return b.touched[idx]
+// Release clears core's holder bit for line index idx (see Hold).
+func (b *Bus) Release(core, idx int) {
+	if core >= 64 || idx >= len(b.held) {
+		return
 	}
-	return 0
+	b.held[idx] &^= 1 << uint(core)
+}
+
+// snoopTargets returns the bitmask of cores a probe of line index idx must
+// reach: the holders plus every core with a valid copy. Only meaningful
+// when the filter is on (which implies ncores <= 64, so every core has a
+// bit); callers must check filterOn — a `1 << c` test against an all-ones
+// sentinel would silently drop cores at c >= 64 because Go shifts past the
+// width yield zero.
+func (b *Bus) snoopTargets(idx int) uint64 {
+	if idx >= len(b.stEpoch) {
+		return 0
+	}
+	t := b.held[idx]
+	if b.stEpoch[idx] == b.epoch {
+		for c, s := range b.states[idx*b.ncores : (idx+1)*b.ncores] {
+			if s != Invalid {
+				t |= 1 << uint(c)
+			}
+		}
+	}
+	return t
+}
+
+// broadcast delivers p to every other core that must see it, in core
+// order, and returns the OR of the piggyback masks they reply. With the
+// filter on, the target set is fixed before the first delivery: a
+// reentrant abort inside a Snoop drops only the aborting core's own
+// lines, so it never gives another core state the set would miss.
+func (b *Bus) broadcast(p Probe) (mask uint64) {
+	if !b.filterOn {
+		for c, s := range b.snoopers {
+			if c != p.From && s != nil {
+				mask |= s.Snoop(p).WrittenMask
+			}
+		}
+		return mask
+	}
+	others := b.registered &^ (1 << uint(p.From))
+	targets := b.snoopTargets(p.Idx) & others
+	b.Stats.FilteredSnoops += uint64(bits.OnesCount64(others &^ targets))
+	for t := targets; t != 0; t &= t - 1 {
+		mask |= b.snoopers[bits.TrailingZeros64(t)].Snoop(p).WrittenMask
+	}
+	return mask
 }
 
 // SetSubBlocks tells the bus how many sub-blocks a piggyback mask covers,
@@ -407,10 +335,18 @@ func (b *Bus) NumCores() int { return b.ncores }
 
 // State returns core's coherence state for line.
 func (b *Bus) State(core int, line mem.LineAddr) State {
-	if st, ok := b.liveEntry(line); ok {
-		return st[core]
+	if idx, ok := b.lines.Lookup(line); ok {
+		return b.StateAt(core, idx)
 	}
 	return Invalid
+}
+
+// StateAt returns core's coherence state for line index idx.
+func (b *Bus) StateAt(core, idx int) State {
+	if idx >= len(b.stEpoch) || b.stEpoch[idx] != b.epoch {
+		return Invalid
+	}
+	return b.states[idx*b.ncores+core]
 }
 
 // liveEntry returns line's state slice without creating it; ok is false
@@ -423,11 +359,10 @@ func (b *Bus) liveEntry(line mem.LineAddr) ([]State, bool) {
 	return b.states[idx*b.ncores : (idx+1)*b.ncores], true
 }
 
-// entry returns line's state slice, creating (and zeroing) it on first use
-// this epoch. The returned slice is invalidated by any call that can grow
-// the tables — exactly why Read and Write re-fetch it after snoops.
-func (b *Bus) entry(line mem.LineAddr) []State {
-	idx := b.lines.Index(line)
+// entry returns line index idx's state slice, creating (and zeroing) it on
+// first use this epoch. The returned slice is invalidated by any call that
+// can grow the tables — exactly why Read and Write re-fetch it after snoops.
+func (b *Bus) entry(idx int) []State {
 	b.ensure(idx)
 	st := b.states[idx*b.ncores : (idx+1)*b.ncores]
 	if b.stEpoch[idx] != b.epoch {
@@ -458,66 +393,36 @@ func (b *Bus) hasLiveState(line mem.LineAddr) bool {
 	return ok
 }
 
-// maybeRelease kills the table entry when every core is Invalid, keeping
-// the live state table proportional to the resident working set.
-func (b *Bus) maybeRelease(line mem.LineAddr) {
-	st, ok := b.liveEntry(line)
-	if !ok {
-		return
-	}
-	for _, s := range st {
-		if s != Invalid {
-			return
-		}
-	}
-	idx, _ := b.lines.Lookup(line)
-	b.stEpoch[idx] = 0
-}
-
 // ReadResult describes the outcome of a Read transaction on the bus.
 type ReadResult struct {
 	Source      Source
 	WrittenMask uint64 // piggy-back mask from the data supplier (paper §IV-D-1)
 }
 
-// Read performs a load's coherence transaction for the requesting core:
-// broadcast a non-invalidating probe (GetS), locate the supplier, apply
-// MOESI transitions, and return where the data came from along with any
-// piggy-backed written-sub-block mask.
+// Read performs a load's coherence transaction for the requesting core on
+// line index idx: broadcast a non-invalidating probe (GetS), locate the
+// supplier, apply MOESI transitions, and return where the data came from
+// along with any piggy-backed written-sub-block mask.
 //
 // force makes the request go to the bus even if the requester already has
 // a valid copy — this is the paper's dirty-sub-block re-request, which is
 // "treated as a local L1 cache miss" and sends a probe that aborts a
 // still-running writer (§IV-C).
-func (b *Bus) Read(core int, line mem.LineAddr, off, size int, tx, force bool) ReadResult {
-	st := b.entry(line)
+func (b *Bus) Read(core, idx, off, size int, tx, force bool) ReadResult {
+	st := b.entry(idx)
 	if st[core].Valid() && !force {
 		// Pure local hit: no bus transaction. The caller should normally
 		// not call Read in this case; tolerate it for robustness.
 		return ReadResult{Source: SourceLocal}
 	}
-	b.maybeCompact()
-	b.markTouched(core, line)
 	b.Stats.ProbesShared++
 	// Broadcast the probe to every other core. Snoopers run conflict
 	// checks; an abort inside a snooper may Drop lines (including this
 	// one), so supplier selection happens after all snoops complete.
-	var mask uint64
-	targets := b.snoopTargets(line)
-	for c := 0; c < b.ncores; c++ {
-		if c == core || b.snoopers[c] == nil {
-			continue
-		}
-		if b.filterOn && targets&(1<<uint(c)) == 0 {
-			b.Stats.FilteredSnoops++
-			continue
-		}
-		r := b.snoopers[c].Snoop(Probe{
-			From: core, Line: line, Off: off, Size: size,
-			Invalidating: false, Transactional: tx,
-		})
-		mask |= r.WrittenMask
-	}
+	mask := b.broadcast(Probe{
+		From: core, Line: b.lines.Line(idx), Idx: idx, Off: off, Size: size,
+		Invalidating: false, Transactional: tx,
+	})
 	if mask != 0 {
 		b.Stats.PiggybackedMasks++
 		b.Stats.PiggybackBitsSent += uint64(b.nsubs)
@@ -526,7 +431,7 @@ func (b *Bus) Read(core int, line mem.LineAddr, off, size int, tx, force bool) R
 	// have Dropped lines reentrantly, and if every copy went Invalid the
 	// table entry was released — the slice captured above would then be
 	// an orphan and updates to it would be lost.
-	st = b.entry(line)
+	st = b.entry(idx)
 	// Locate supplier among surviving states.
 	supplier := -1
 	anyValid := false
@@ -576,49 +481,36 @@ func (b *Bus) Read(core int, line mem.LineAddr, off, size int, tx, force bool) R
 
 // WriteResult describes the outcome of a Write transaction on the bus.
 type WriteResult struct {
-	Source         Source
-	HadRemoteCopy  bool // at least one remote valid copy was invalidated
-	RemoteSnooped  bool // a probe was actually broadcast
-	SilentUpgrade  bool // satisfied without any bus traffic
-	InvalidatedOwn bool // (unused; reserved for holder-wins policies)
+	Source        Source
+	HadRemoteCopy bool // at least one remote valid copy was invalidated
+	RemoteSnooped bool // a probe was actually broadcast
+	SilentUpgrade bool // satisfied without any bus traffic
 }
 
-// Write performs a store's coherence transaction: broadcast an invalidating
-// probe (GetX / upgrade), invalidate remote copies, and leave the requester
-// in M.
+// Write performs a store's coherence transaction on line index idx:
+// broadcast an invalidating probe (GetX / upgrade), invalidate remote
+// copies, and leave the requester in M.
 //
 // Transactional stores ALWAYS broadcast (§IV-D-2: "it sends out an
 // invalidation message as done by a cache coherence protocol"), even from
 // M/E — this is also what keeps conflict checks against speculative state
 // retained in remotely *invalidated* lines sound. Non-transactional stores
 // use the standard silent-upgrade fast path.
-func (b *Bus) Write(core int, line mem.LineAddr, off, size int, tx bool) WriteResult {
-	st := b.entry(line)
+func (b *Bus) Write(core, idx, off, size int, tx bool) WriteResult {
+	st := b.entry(idx)
 	if !tx && st[core].CanWriteSilently() {
 		st[core] = Modified
 		b.Stats.SilentStores++
 		return WriteResult{Source: SourceLocal, SilentUpgrade: true}
 	}
-	b.maybeCompact()
-	b.markTouched(core, line)
 	b.Stats.ProbesInvalidate++
-	targets := b.snoopTargets(line)
-	for c := 0; c < b.ncores; c++ {
-		if c == core || b.snoopers[c] == nil {
-			continue
-		}
-		if b.filterOn && targets&(1<<uint(c)) == 0 {
-			b.Stats.FilteredSnoops++
-			continue
-		}
-		b.snoopers[c].Snoop(Probe{
-			From: core, Line: line, Off: off, Size: size,
-			Invalidating: true, Transactional: tx,
-		})
-	}
+	b.broadcast(Probe{
+		From: core, Line: b.lines.Line(idx), Idx: idx, Off: off, Size: size,
+		Invalidating: true, Transactional: tx,
+	})
 	res := WriteResult{RemoteSnooped: true}
 	// Re-fetch after snoops for the same reentrant-Drop reason as in Read.
-	st = b.entry(line)
+	st = b.entry(idx)
 	supplier := -1
 	for c := 0; c < b.ncores; c++ {
 		if c == core {
@@ -656,10 +548,11 @@ func (b *Bus) Write(core int, line mem.LineAddr, off, size int, tx bool) WriteRe
 // copies count as a writeback for the statistics — except when discard is
 // true (aborted speculative data is destroyed, not written back).
 func (b *Bus) Drop(core int, line mem.LineAddr, discard bool) {
-	st, ok := b.liveEntry(line)
-	if !ok {
+	idx, ok := b.lines.Lookup(line)
+	if !ok || idx >= len(b.stEpoch) || b.stEpoch[idx] != b.epoch {
 		return
 	}
+	st := b.states[idx*b.ncores : (idx+1)*b.ncores]
 	switch st[core] {
 	case Modified, Owned:
 		if !discard {
@@ -671,7 +564,14 @@ func (b *Bus) Drop(core int, line mem.LineAddr, discard bool) {
 		return
 	}
 	st[core] = Invalid
-	b.maybeRelease(line)
+	// Release the table entry once every core is Invalid, keeping the live
+	// state table proportional to the resident working set.
+	for _, s := range st {
+		if s != Invalid {
+			return
+		}
+	}
+	b.stEpoch[idx] = 0
 }
 
 // CheckInvariants verifies the global MOESI safety properties:

@@ -20,6 +20,10 @@ func (r *recorder) Snoop(p Probe) Reply {
 	return Reply{WrittenMask: r.mask}
 }
 
+// lineIdx returns l's dense index on b, assigning one on first use, the
+// way an engine resolves a piece's line before its bus transaction.
+func lineIdx(b *Bus, l mem.LineAddr) int { return b.LineIndex().Index(l) }
+
 func newTestBus(n int) (*Bus, []*recorder) {
 	b := NewBus(n, mem.DefaultGeometry)
 	recs := make([]*recorder, n)
@@ -32,7 +36,7 @@ func newTestBus(n int) (*Bus, []*recorder) {
 
 func TestColdReadGetsExclusive(t *testing.T) {
 	b, _ := newTestBus(4)
-	res := b.Read(0, testLine, 0, 8, false, false)
+	res := b.Read(0, lineIdx(b, testLine), 0, 8, false, false)
 	if res.Source != SourceMemory {
 		t.Fatalf("cold read sourced from %v", res.Source)
 	}
@@ -43,8 +47,8 @@ func TestColdReadGetsExclusive(t *testing.T) {
 
 func TestSecondReaderSharesAndDowngradesE(t *testing.T) {
 	b, _ := newTestBus(4)
-	b.Read(0, testLine, 0, 8, false, false)
-	res := b.Read(1, testLine, 0, 8, false, false)
+	b.Read(0, lineIdx(b, testLine), 0, 8, false, false)
+	res := b.Read(1, lineIdx(b, testLine), 0, 8, false, false)
 	if res.Source != SourceRemote {
 		t.Fatalf("second read sourced from %v, want remote (E forwards)", res.Source)
 	}
@@ -55,9 +59,9 @@ func TestSecondReaderSharesAndDowngradesE(t *testing.T) {
 
 func TestWriteInvalidatesSharers(t *testing.T) {
 	b, _ := newTestBus(4)
-	b.Read(0, testLine, 0, 8, false, false)
-	b.Read(1, testLine, 0, 8, false, false)
-	res := b.Write(2, testLine, 0, 8, false)
+	b.Read(0, lineIdx(b, testLine), 0, 8, false, false)
+	b.Read(1, lineIdx(b, testLine), 0, 8, false, false)
+	res := b.Write(2, lineIdx(b, testLine), 0, 8, false)
 	if !res.HadRemoteCopy {
 		t.Fatal("write did not see remote copies")
 	}
@@ -71,8 +75,8 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 
 func TestModifiedForwardsAndBecomesOwned(t *testing.T) {
 	b, _ := newTestBus(4)
-	b.Write(0, testLine, 0, 8, false)
-	res := b.Read(1, testLine, 0, 8, false, false)
+	b.Write(0, lineIdx(b, testLine), 0, 8, false)
+	res := b.Read(1, lineIdx(b, testLine), 0, 8, false, false)
 	if res.Source != SourceRemote {
 		t.Fatalf("read of M line sourced from %v", res.Source)
 	}
@@ -83,8 +87,8 @@ func TestModifiedForwardsAndBecomesOwned(t *testing.T) {
 
 func TestSilentStoreOnExclusive(t *testing.T) {
 	b, _ := newTestBus(2)
-	b.Read(0, testLine, 0, 8, false, false) // E
-	res := b.Write(0, testLine, 0, 8, false)
+	b.Read(0, lineIdx(b, testLine), 0, 8, false, false) // E
+	res := b.Write(0, lineIdx(b, testLine), 0, 8, false)
 	if !res.SilentUpgrade {
 		t.Fatal("store on E was not silent")
 	}
@@ -98,8 +102,8 @@ func TestSilentStoreOnExclusive(t *testing.T) {
 
 func TestTransactionalStoreAlwaysProbes(t *testing.T) {
 	b, recs := newTestBus(3)
-	b.Read(0, testLine, 0, 8, true, false) // E at core 0
-	b.Write(0, testLine, 0, 8, true)       // tx store: must broadcast despite E
+	b.Read(0, lineIdx(b, testLine), 0, 8, true, false) // E at core 0
+	b.Write(0, lineIdx(b, testLine), 0, 8, true)       // tx store: must broadcast despite E
 	if b.Stats.ProbesInvalidate != 1 {
 		t.Fatalf("tx store sent %d invalidating probes, want 1", b.Stats.ProbesInvalidate)
 	}
@@ -112,11 +116,11 @@ func TestTransactionalStoreAlwaysProbes(t *testing.T) {
 
 func TestSharedOnlyCopiesServeFromMemory(t *testing.T) {
 	b, _ := newTestBus(4)
-	b.Read(0, testLine, 0, 8, false, false) // E at 0
-	b.Read(1, testLine, 0, 8, false, false) // S at 0 and 1
+	b.Read(0, lineIdx(b, testLine), 0, 8, false, false) // E at 0
+	b.Read(1, lineIdx(b, testLine), 0, 8, false, false) // S at 0 and 1
 	// Drop core 0; only an S copy remains — MOESI has no owner, memory serves.
 	b.Drop(0, testLine, false)
-	res := b.Read(2, testLine, 0, 8, false, false)
+	res := b.Read(2, lineIdx(b, testLine), 0, 8, false, false)
 	if res.Source != SourceMemory {
 		t.Fatalf("S-only read sourced from %v, want memory", res.Source)
 	}
@@ -124,7 +128,7 @@ func TestSharedOnlyCopiesServeFromMemory(t *testing.T) {
 
 func TestProbeCarriesAccessFootprint(t *testing.T) {
 	b, recs := newTestBus(2)
-	b.Read(1, testLine, 12, 4, true, false)
+	b.Read(1, lineIdx(b, testLine), 12, 4, true, false)
 	if len(recs[0].probes) != 1 {
 		t.Fatalf("core 0 saw %d probes", len(recs[0].probes))
 	}
@@ -136,9 +140,9 @@ func TestProbeCarriesAccessFootprint(t *testing.T) {
 
 func TestPiggybackMaskReturned(t *testing.T) {
 	b, recs := newTestBus(3)
-	b.Write(1, testLine, 0, 8, true) // core 1 owns (M)
+	b.Write(1, lineIdx(b, testLine), 0, 8, true) // core 1 owns (M)
 	recs[1].mask = 0b0101
-	res := b.Read(0, testLine, 16, 4, true, false)
+	res := b.Read(0, lineIdx(b, testLine), 16, 4, true, false)
 	if res.WrittenMask != 0b0101 {
 		t.Fatalf("piggyback mask %b", res.WrittenMask)
 	}
@@ -151,9 +155,9 @@ func TestForcedReadFromValidState(t *testing.T) {
 	// The dirty-sub-block re-request: requester holds a valid copy but
 	// goes to the bus anyway.
 	b, recs := newTestBus(2)
-	b.Read(0, testLine, 0, 8, false, false)
+	b.Read(0, lineIdx(b, testLine), 0, 8, false, false)
 	before := len(recs[1].probes)
-	res := b.Read(0, testLine, 0, 8, true, true)
+	res := b.Read(0, lineIdx(b, testLine), 0, 8, true, true)
 	if res.Source == SourceLocal {
 		t.Fatal("forced read did not reach the bus")
 	}
@@ -167,8 +171,8 @@ func TestForcedReadFromValidState(t *testing.T) {
 
 func TestUnforcedLocalReadIsLocal(t *testing.T) {
 	b, _ := newTestBus(2)
-	b.Read(0, testLine, 0, 8, false, false)
-	res := b.Read(0, testLine, 0, 8, false, false)
+	b.Read(0, lineIdx(b, testLine), 0, 8, false, false)
+	res := b.Read(0, lineIdx(b, testLine), 0, 8, false, false)
 	if res.Source != SourceLocal {
 		t.Fatalf("local re-read sourced from %v", res.Source)
 	}
@@ -176,12 +180,12 @@ func TestUnforcedLocalReadIsLocal(t *testing.T) {
 
 func TestDropWritebackAccounting(t *testing.T) {
 	b, _ := newTestBus(2)
-	b.Write(0, testLine, 0, 8, false)
+	b.Write(0, lineIdx(b, testLine), 0, 8, false)
 	b.Drop(0, testLine, false)
 	if b.Stats.Writebacks != 1 {
 		t.Fatalf("M drop writebacks = %d, want 1", b.Stats.Writebacks)
 	}
-	b.Write(1, testLine, 0, 8, false)
+	b.Write(1, lineIdx(b, testLine), 0, 8, false)
 	b.Drop(1, testLine, true) // discarded speculative data: NO writeback
 	if b.Stats.Writebacks != 1 {
 		t.Fatalf("discarding drop counted a writeback")
@@ -193,9 +197,9 @@ func TestDropWritebackAccounting(t *testing.T) {
 
 func TestUpgradeFromShared(t *testing.T) {
 	b, _ := newTestBus(3)
-	b.Read(0, testLine, 0, 8, false, false)
-	b.Read(1, testLine, 0, 8, false, false)
-	res := b.Write(0, testLine, 0, 8, false)
+	b.Read(0, lineIdx(b, testLine), 0, 8, false, false)
+	b.Read(1, lineIdx(b, testLine), 0, 8, false, false)
+	res := b.Write(0, lineIdx(b, testLine), 0, 8, false)
 	if res.Source != SourceLocal || !res.HadRemoteCopy {
 		t.Fatalf("upgrade result %+v", res)
 	}
@@ -232,9 +236,9 @@ func TestMOESIInvariantsUnderRandomOps(t *testing.T) {
 				// Local hit: no bus transaction (as the machine would do).
 				continue
 			}
-			b.Read(core, line, r.Intn(8)*8, 8, r.Bool(0.5), false)
+			b.Read(core, lineIdx(b, line), r.Intn(8)*8, 8, r.Bool(0.5), false)
 		case 2, 3:
-			b.Write(core, line, r.Intn(8)*8, 8, r.Bool(0.5))
+			b.Write(core, lineIdx(b, line), r.Intn(8)*8, 8, r.Bool(0.5))
 		case 4:
 			b.Drop(core, line, r.Bool(0.5))
 		}
@@ -250,9 +254,9 @@ func TestMOESIInvariantsUnderRandomOps(t *testing.T) {
 // A — no stale-owner resurrection.
 func TestValueVisibilityOrder(t *testing.T) {
 	b, _ := newTestBus(2)
-	b.Write(0, testLine, 0, 8, false)
-	b.Read(1, testLine, 0, 8, false, false)
-	b.Write(1, testLine, 0, 8, false)
+	b.Write(0, lineIdx(b, testLine), 0, 8, false)
+	b.Read(1, lineIdx(b, testLine), 0, 8, false, false)
+	b.Write(1, lineIdx(b, testLine), 0, 8, false)
 	if b.State(0, testLine) != Invalid {
 		t.Fatalf("old owner state %v after new writer", b.State(0, testLine))
 	}
@@ -266,8 +270,8 @@ func TestValueVisibilityOrder(t *testing.T) {
 
 func TestValidCopies(t *testing.T) {
 	b, _ := newTestBus(4)
-	b.Read(0, testLine, 0, 8, false, false)
-	b.Read(2, testLine, 0, 8, false, false)
+	b.Read(0, lineIdx(b, testLine), 0, 8, false, false)
+	b.Read(2, lineIdx(b, testLine), 0, 8, false, false)
 	got := b.ValidCopies(testLine)
 	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("ValidCopies = %v", got)
@@ -276,7 +280,7 @@ func TestValidCopies(t *testing.T) {
 
 func TestStateTableReleased(t *testing.T) {
 	b, _ := newTestBus(2)
-	b.Read(0, testLine, 0, 8, false, false)
+	b.Read(0, lineIdx(b, testLine), 0, 8, false, false)
 	b.Drop(0, testLine, false)
 	if n := b.liveStateCount(); n != 0 {
 		t.Fatalf("state table holds %d entries after all-invalid", n)
@@ -288,12 +292,12 @@ func TestTrafficAccounting(t *testing.T) {
 	_ = recs
 	b.SetSubBlocks(4)
 
-	b.Read(0, testLine, 0, 8, false, false) // GetS, from memory
-	b.Read(1, testLine, 0, 8, false, false) // GetS, E->S forward (remote)
-	b.Write(2, testLine, 0, 8, false)       // GetX, invalidates 2 copies
-	b.Read(0, testLine, 0, 8, false, false) // GetS, M->O forward
-	b.Write(0, testLine+64, 0, 8, false)    // GetX, cold (memory)
-	b.Drop(0, testLine+64, false)           // M eviction: writeback
+	b.Read(0, lineIdx(b, testLine), 0, 8, false, false) // GetS, from memory
+	b.Read(1, lineIdx(b, testLine), 0, 8, false, false) // GetS, E->S forward (remote)
+	b.Write(2, lineIdx(b, testLine), 0, 8, false)       // GetX, invalidates 2 copies
+	b.Read(0, lineIdx(b, testLine), 0, 8, false, false) // GetS, M->O forward
+	b.Write(0, lineIdx(b, testLine+64), 0, 8, false)    // GetX, cold (memory)
+	b.Drop(0, testLine+64, false)                       // M eviction: writeback
 
 	s := b.Stats
 	if s.ProbesShared != 3 {
@@ -319,9 +323,9 @@ func TestTrafficAccounting(t *testing.T) {
 func TestPiggybackBitAccounting(t *testing.T) {
 	b, recs := newTestBus(2)
 	b.SetSubBlocks(8)
-	b.Write(1, testLine, 0, 8, true)
+	b.Write(1, lineIdx(b, testLine), 0, 8, true)
 	recs[1].mask = 0b1
-	b.Read(0, testLine, 8, 8, true, false)
+	b.Read(0, lineIdx(b, testLine), 8, 8, true, false)
 	if b.Stats.PiggybackBitsSent != 8 {
 		t.Fatalf("PiggybackBitsSent = %d, want 8 (one masked reply at 8 sub-blocks)", b.Stats.PiggybackBitsSent)
 	}
@@ -336,15 +340,15 @@ func TestBusWouldConflictPreCheck(t *testing.T) {
 	b.Register(1, ck)
 	b.Register(2, &recorder{}) // plain snooper: ignored by the pre-check
 
-	if b.WouldConflict(0, testLine, 0, 8, true) {
+	if b.WouldConflict(0, lineIdx(b, testLine), 0, 8, true) {
 		t.Fatal("pre-check conflicted with a clean checker")
 	}
 	ck.conflict = true
-	if !b.WouldConflict(0, testLine, 0, 8, true) {
+	if !b.WouldConflict(0, lineIdx(b, testLine), 0, 8, true) {
 		t.Fatal("pre-check missed the checker's conflict")
 	}
 	// The probed core itself is never consulted.
-	if b.WouldConflict(1, testLine, 0, 8, true) {
+	if b.WouldConflict(1, lineIdx(b, testLine), 0, 8, true) {
 		t.Fatal("pre-check consulted the requester itself")
 	}
 	if len(ck.probes) != 2 {
@@ -368,8 +372,8 @@ func (c *checkerSnooper) WouldConflict(p Probe) bool {
 
 func TestInvariantCheckVariants(t *testing.T) {
 	b, _ := newTestBus(3)
-	b.Read(0, testLine, 0, 8, false, false)
-	b.Read(1, testLine+64, 0, 8, false, false)
+	b.Read(0, lineIdx(b, testLine), 0, 8, false, false)
+	b.Read(1, lineIdx(b, testLine+64), 0, 8, false, false)
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +385,7 @@ func TestInvariantCheckVariants(t *testing.T) {
 	}
 	// Corrupt the table to prove all three checkers catch it: two E
 	// copies of one line.
-	b.entry(testLine)[1] = Exclusive
+	b.entry(lineIdx(b, testLine))[1] = Exclusive
 	if b.CheckInvariants() == nil || b.CheckAllInvariants() == nil || b.CheckLineInvariants(testLine) == nil {
 		t.Fatal("corrupted state passed an invariant check")
 	}

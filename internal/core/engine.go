@@ -116,20 +116,19 @@ type Engine struct {
 	hook Hooks
 
 	// Dense per-line speculative state over the bus's shared line index.
-	// active holds the indices of every listed entry (present or lazily
-	// unlisted), so commit/abort gang operations walk exactly the touched
-	// lines instead of a map. Entries from earlier runs are dead by epoch;
-	// Reset is therefore an integer bump plus truncating active.
+	// Each access piece resolves its line's index once; probes arrive
+	// carrying theirs. active holds the indices of every listed entry
+	// (present or lazily unlisted), so commit/abort gang operations walk
+	// exactly the touched lines instead of a map. Entries from earlier runs
+	// are dead by epoch; Reset is therefore an integer bump plus truncating
+	// active. Every present/absent transition of an entry sets or clears
+	// this core's holder bit on the bus (create, forget and the commit and
+	// abort prunes), which is what lets the bus's snoop filter skip cores
+	// holding nothing.
 	ix     *mem.LineIndexer
 	lines  []lineState
 	active []int32
 	epoch  uint32
-
-	// lastLine/lastLS cache the most recent lines lookup: accesses arrive
-	// in same-line bursts (SplitByLine pieces, load-then-mark sequences),
-	// so one cached entry removes most map probes from the hot path.
-	lastLine mem.LineAddr
-	lastLS   *lineState
 
 	// splitBuf is the reusable scratch for SplitByLine in access().
 	// Engines are single-threaded and never re-enter their own access
@@ -192,8 +191,6 @@ func (e *Engine) Reset(cfg Config, hooks Hooks) {
 	}
 	e.epoch++
 	e.active = e.active[:0]
-	e.lastLS = nil
-	e.lastLine = 0
 	e.unsafe = e.unsafe[:0]
 	e.abortPending = false
 	e.abortReason = ReasonNone
@@ -225,13 +222,9 @@ func (e *Engine) InTx() bool { return e.inTx }
 // the reason. The transaction runtime polls this after every operation.
 func (e *Engine) AbortPending() (bool, AbortReason) { return e.abortPending, e.abortReason }
 
-// peek returns the lineState for l (nil if absent) WITHOUT consulting or
-// filling the one-entry cache. Snoop-filter compaction and eviction
-// handling use it, mirroring the direct map reads of the old
-// implementation, so cold-path probing leaves the hot path's cache alone.
-func (e *Engine) peek(l mem.LineAddr) *lineState {
-	idx, ok := e.ix.Lookup(l)
-	if !ok || idx >= len(e.lines) {
+// at returns the lineState for line index idx (nil if absent).
+func (e *Engine) at(idx int) *lineState {
+	if idx >= len(e.lines) {
 		return nil
 	}
 	ls := &e.lines[idx]
@@ -241,70 +234,61 @@ func (e *Engine) peek(l mem.LineAddr) *lineState {
 	return ls
 }
 
-// lookup returns the lineState for l (nil if absent), consulting the
-// one-entry cache first.
-func (e *Engine) lookup(l mem.LineAddr) *lineState {
-	if e.lastLS != nil && e.lastLine == l {
-		return e.lastLS
+// peek returns line l's index and lineState (nil if absent), for the
+// callers that hold an address rather than an index: eviction handling
+// and inspection.
+func (e *Engine) peek(l mem.LineAddr) (int, *lineState) {
+	idx, ok := e.ix.Lookup(l)
+	if !ok {
+		return 0, nil
 	}
-	ls := e.peek(l)
-	if ls != nil {
-		e.lastLine, e.lastLS = l, ls
+	return idx, e.at(idx)
+}
+
+// create returns the lineState for line index idx, making it present (with
+// no bits set) if it is absent. Creation may grow the dense slice, which
+// invalidates every outstanding *lineState.
+func (e *Engine) create(idx int) *lineState {
+	if ls := e.at(idx); ls != nil {
+		return ls
 	}
+	e.ensure(idx)
+	ls := &e.lines[idx]
+	if ls.epoch != e.epoch {
+		*ls = lineState{epoch: e.epoch}
+	} else {
+		ls.spec, ls.wr, ls.retained = 0, 0, false
+	}
+	ls.present = true
+	if !ls.listed {
+		ls.listed = true
+		e.active = append(e.active, int32(idx))
+	}
+	e.bus.Hold(e.id, idx)
 	return ls
 }
 
-// state returns the lineState for l, creating it if create is set.
-// Creation may grow the dense slice, which invalidates every outstanding
-// *lineState — including the one-entry cache, which is cleared by ensure.
-func (e *Engine) state(l mem.LineAddr, create bool) *lineState {
-	ls := e.lookup(l)
-	if ls == nil && create {
-		idx := e.ix.Index(l)
-		e.ensure(idx)
-		ls = &e.lines[idx]
-		if ls.epoch != e.epoch {
-			*ls = lineState{epoch: e.epoch}
-		} else {
-			ls.spec, ls.wr, ls.retained = 0, 0, false
-		}
-		ls.present = true
-		if !ls.listed {
-			ls.listed = true
-			e.active = append(e.active, int32(idx))
-		}
-		e.lastLine, e.lastLS = l, ls
-	}
-	return ls
-}
-
-// ensure grows the dense slice to cover line index idx, dropping the
-// lookup cache if the backing array may have moved.
+// ensure grows the dense slice to cover line index idx.
 func (e *Engine) ensure(idx int) {
 	if idx < len(e.lines) {
 		return
 	}
 	e.lines = append(e.lines, make([]lineState, idx+1-len(e.lines))...)
-	e.lastLS = nil
 }
 
-// forget drops line l's state, keeping the lookup cache coherent. The
-// entry's index stays in active until the next commit/abort sweep prunes
-// it (listed remains set so it is not appended twice).
-func (e *Engine) forget(l mem.LineAddr) {
-	if ls := e.peek(l); ls != nil {
-		ls.present = false
-	}
-	if e.lastLine == l {
-		e.lastLS = nil
-	}
+// forget drops the present state of line index idx. The entry's index
+// stays in active until the next commit/abort sweep prunes it (listed
+// remains set so it is not appended twice).
+func (e *Engine) forget(idx int) {
+	e.lines[idx].present = false
+	e.bus.Release(e.id, idx)
 }
 
 // SubStates returns a copy of the per-granule states for line l (all
 // NonSpec when the engine holds no state). For tests and inspection.
 func (e *Engine) SubStates(l mem.LineAddr) []SubState {
 	out := make([]SubState, e.cfg.Granules())
-	if ls := e.lookup(l); ls != nil {
+	if _, ls := e.peek(l); ls != nil {
 		for i := range out {
 			out[i] = ls.get(i)
 		}
@@ -315,21 +299,8 @@ func (e *Engine) SubStates(l mem.LineAddr) []SubState {
 // Retained reports whether line l's speculative state is being kept in a
 // coherence-invalidated line.
 func (e *Engine) Retained(l mem.LineAddr) bool {
-	ls := e.lookup(l)
+	_, ls := e.peek(l)
 	return ls != nil && ls.retained
-}
-
-// HoldsLineState implements coherence.StateHolder for the snoop filter's
-// epoch compaction: it reports whether this engine keeps ANY per-line
-// state for l — speculative bits, dirty marks or retained-invalid state.
-// When it returns false (and the core also has no coherence copy), a
-// probe of l is a complete no-op in every mode except signatures, which
-// never use the filter: no conflict can fire, no piggyback mask can be
-// replied, and the invalidation housekeeping finds nothing to do.
-// Deliberately bypasses the lookup cache so compaction leaves the hot
-// path's cache state untouched.
-func (e *Engine) HoldsLineState(l mem.LineAddr) bool {
-	return e.peek(l) != nil
 }
 
 // ---------------------------------------------------------------------------
@@ -380,13 +351,13 @@ func (e *Engine) CommitTx() (ok bool, reason AbortReason) {
 			// once cleared there is nothing left to keep. Entries with
 			// no dirty bits are garbage too.
 			ls.present, ls.listed = false, false
+			e.bus.Release(e.id, int(idx))
 			continue
 		}
 		e.active[w] = idx
 		w++
 	}
 	e.active = e.active[:w]
-	e.lastLS = nil
 	if e.cfg.Mode == ModeSignature {
 		e.sigClear()
 	}
@@ -444,13 +415,13 @@ func (e *Engine) abortSelf(reason AbortReason) {
 		ls.clearSpec()
 		if ls.retained || !ls.anyDirty() {
 			ls.present, ls.listed = false, false
+			e.bus.Release(e.id, int(idx))
 			continue
 		}
 		e.active[w] = idx
 		w++
 	}
 	e.active = e.active[:w]
-	e.lastLS = nil
 	if e.cfg.Mode == ModeSignature {
 		e.sigClear()
 	}
@@ -506,11 +477,14 @@ func (e *Engine) access(a mem.Addr, size int, tx, write bool) AccessResult {
 	if tx && e.cfg.Resolution == HolderWins {
 		// NACK pre-check: if any live remote transaction would conflict,
 		// refuse the whole access before any coherence transition.
+		// A line with no index yet has never been touched, so no core
+		// can hold state for it.
 		for _, p := range pieces {
-			if e.bus.WouldConflict(e.id, p.Line, p.Off, p.Size, write) {
+			idx, ok := e.ix.Lookup(p.Line)
+			if ok && e.bus.WouldConflict(e.id, idx, p.Off, p.Size, write) {
 				e.Stats.Nacks++
 				res.Nacked = true
-				res.Latency = e.hier.Config().BusLatency
+				res.Latency = e.hier.BusLatency()
 				return res
 			}
 		}
@@ -539,8 +513,8 @@ func (e *Engine) access(a mem.Addr, size int, tx, write bool) AccessResult {
 // reference-model property test is for: a stale retained flag made commit
 // discard legitimate Dirty marks, silently disabling the §IV-C re-request
 // for the next transaction.)
-func (e *Engine) revalidate(l mem.LineAddr) {
-	if ls := e.lookup(l); ls != nil {
+func (e *Engine) revalidate(idx int) {
+	if ls := e.at(idx); ls != nil {
 		ls.retained = false
 	}
 }
@@ -562,7 +536,7 @@ func (e *Engine) fill(l mem.LineAddr) bool {
 // It reports whether a capacity abort occurred.
 func (e *Engine) handleEvictions(ev cache.EvictionSet) (aborted bool) {
 	for _, v := range ev.FromL1 {
-		vs := e.peek(v)
+		idx, vs := e.peek(v)
 		if vs == nil || vs.retained {
 			continue
 		}
@@ -570,13 +544,13 @@ func (e *Engine) handleEvictions(ev cache.EvictionSet) (aborted bool) {
 			e.abortSelf(ReasonCapacity)
 			aborted = true
 		} else if !vs.anySpec() {
-			e.forget(v)
+			e.forget(idx)
 		}
 	}
 	for _, v := range ev.FromL3 {
 		e.bus.Drop(e.id, v, false)
-		if vs := e.peek(v); vs != nil && !vs.retained && !vs.anySpec() {
-			e.forget(v)
+		if idx, vs := e.peek(v); vs != nil && !vs.retained && !vs.anySpec() {
+			e.forget(idx)
 		}
 	}
 	return aborted
@@ -584,9 +558,9 @@ func (e *Engine) handleEvictions(ev cache.EvictionSet) (aborted bool) {
 
 // loadPiece services one line-confined load piece.
 func (e *Engine) loadPiece(p mem.Access, tx bool) (lat int64, capAbort bool) {
-	st := e.bus.State(e.id, p.Line)
-	hc := e.hier.Config()
-	ls := e.state(p.Line, false)
+	idx := e.ix.Index(p.Line)
+	st := e.bus.StateAt(e.id, idx)
+	ls := e.at(idx)
 
 	if st.Valid() {
 		// Local hit path. Check the dirty protocol first: a hit on a
@@ -600,10 +574,10 @@ func (e *Engine) loadPiece(p mem.Access, tx bool) (lat int64, capAbort bool) {
 		}
 		if spanDirty != 0 {
 			e.Stats.DirtyRereq++
-			rr := e.bus.Read(e.id, p.Line, p.Off, p.Size, tx, true /* force */)
-			lat = hc.BusLatency
+			rr := e.bus.Read(e.id, idx, p.Off, p.Size, tx, true /* force */)
+			lat = e.hier.BusLatency()
 			if rr.Source == coherence.SourceMemory {
-				lat = hc.MemLatency
+				lat = e.hier.MemLatency()
 			}
 			// The re-request cleared the staleness: the spanned dirty
 			// sub-blocks become S-RD for transactional loads (§IV-D-1)
@@ -613,7 +587,7 @@ func (e *Engine) loadPiece(p mem.Access, tx bool) (lat int64, capAbort bool) {
 			if tx {
 				ls.spec |= spanDirty
 			}
-			e.applyPiggyback(p.Line, rr.WrittenMask)
+			e.applyPiggyback(idx, rr.WrittenMask)
 			e.hier.L1().Touch(p.Line)
 		} else {
 			lv, ev := e.hier.Access(p.Line)
@@ -626,12 +600,12 @@ func (e *Engine) loadPiece(p mem.Access, tx bool) (lat int64, capAbort bool) {
 		}
 	} else {
 		// Miss in the private hierarchy: bus transaction.
-		rr := e.bus.Read(e.id, p.Line, p.Off, p.Size, tx, false)
+		rr := e.bus.Read(e.id, idx, p.Off, p.Size, tx, false)
 		switch rr.Source {
 		case coherence.SourceRemote:
-			lat = hc.BusLatency
+			lat = e.hier.BusLatency()
 		default:
-			lat = hc.MemLatency
+			lat = e.hier.MemLatency()
 		}
 		if rr.WrittenMask != 0 {
 			lat += e.cfg.PiggybackPenalty
@@ -639,12 +613,12 @@ func (e *Engine) loadPiece(p mem.Access, tx bool) (lat int64, capAbort bool) {
 		if !e.fill(p.Line) {
 			return lat, true
 		}
-		e.revalidate(p.Line)
-		e.applyPiggyback(p.Line, rr.WrittenMask)
+		e.revalidate(idx)
+		e.applyPiggyback(idx, rr.WrittenMask)
 	}
 
 	if tx {
-		e.markSpec(p, false)
+		e.markSpec(p, idx, false)
 		e.Stats.SpecLoads++
 		if e.hook.OnSpecAccess != nil {
 			e.hook.OnSpecAccess(e.id, p.Line, p.Off, p.Size, false)
@@ -655,11 +629,9 @@ func (e *Engine) loadPiece(p mem.Access, tx bool) (lat int64, capAbort bool) {
 
 // storePiece services one line-confined store piece.
 func (e *Engine) storePiece(p mem.Access, tx bool) (lat int64, capAbort bool) {
-	st := e.bus.State(e.id, p.Line)
-	hc := e.hier.Config()
-
-	hadLocal := st.Valid()
-	wr := e.bus.Write(e.id, p.Line, p.Off, p.Size, tx)
+	idx := e.ix.Index(p.Line)
+	hadLocal := e.bus.StateAt(e.id, idx).Valid()
+	wr := e.bus.Write(e.id, idx, p.Off, p.Size, tx)
 	switch {
 	case hadLocal:
 		// Upgrade or silent store: data already local. Promote in the
@@ -670,30 +642,30 @@ func (e *Engine) storePiece(p mem.Access, tx bool) (lat int64, capAbort bool) {
 			return lat, true
 		}
 	case wr.Source == coherence.SourceRemote:
-		lat = hc.BusLatency
+		lat = e.hier.BusLatency()
 		if !e.fill(p.Line) {
 			return lat, true
 		}
-		e.revalidate(p.Line)
+		e.revalidate(idx)
 	default:
-		lat = hc.MemLatency
+		lat = e.hier.MemLatency()
 		if !e.fill(p.Line) {
 			return lat, true
 		}
-		e.revalidate(p.Line)
+		e.revalidate(idx)
 	}
 
 	// A non-transactional store overwrites any Dirty marks it covers: the
 	// local copy of those bytes is now our own committed data.
 	if !tx && e.cfg.Mode == ModeSubBlock {
-		if ls := e.lookup(p.Line); ls != nil {
+		if ls := e.at(idx); ls != nil {
 			first, last := e.cfg.Geom.SubBlockSpan(p.Off, p.Size, e.cfg.SubBlocks)
 			ls.wr &^= ls.dirtyMask() & mem.SpanMask(first, last)
 		}
 	}
 
 	if tx {
-		e.markSpec(p, true)
+		e.markSpec(p, idx, true)
 		e.Stats.SpecStores++
 		if e.hook.OnSpecAccess != nil {
 			e.hook.OnSpecAccess(e.id, p.Line, p.Off, p.Size, true)
@@ -702,26 +674,26 @@ func (e *Engine) storePiece(p mem.Access, tx bool) (lat int64, capAbort bool) {
 	return lat, false
 }
 
-// markSpec sets the speculative bits for the access and records it in the
-// byte-exact footprint.
-func (e *Engine) markSpec(p mem.Access, write bool) {
+// markSpec sets the speculative bits for the access piece p, whose line
+// index is idx, and records it in the byte-exact footprint.
+func (e *Engine) markSpec(p mem.Access, idx int, write bool) {
 	if e.cfg.Mode == ModeSignature {
 		e.sigMark(p.Line, write)
 	}
-	ls := e.state(p.Line, true)
+	ls := e.create(idx)
 	first, last := e.cfg.Geom.SubBlockSpan(p.Off, p.Size, e.cfg.SubBlocks)
 	m := mem.SpanMask(first, last)
 	if write {
 		ls.spec |= m
 		ls.wr |= m
-		e.fp.RecordWrite(p.Line, p.Off, p.Size)
+		e.fp.RecordWrite(idx, p.Off, p.Size)
 	} else {
 		// A read never downgrades S-WR: spanned granules become S-RD
 		// except where the WR bit belongs to an S-WR granule.
 		sw := ls.writtenMask() & m
 		ls.wr = ls.wr&^m | sw
 		ls.spec |= m
-		e.fp.RecordRead(p.Line, p.Off, p.Size)
+		e.fp.RecordRead(idx, p.Off, p.Size)
 	}
 }
 
@@ -729,14 +701,14 @@ func (e *Engine) markSpec(p mem.Access, write bool) {
 // as Dirty (§IV-D-1). The mask never overlaps our own speculative
 // sub-blocks: if the remote writer's footprint overlapped ours, one of the
 // two transactions would already have aborted.
-func (e *Engine) applyPiggyback(l mem.LineAddr, mask uint64) {
+func (e *Engine) applyPiggyback(idx int, mask uint64) {
 	if mask == 0 || e.cfg.Mode != ModeSubBlock || !e.cfg.DirtyProtocol {
 		return
 	}
-	ls := e.state(l, true)
+	ls := e.create(idx)
 	if mask&ls.spec != 0 {
 		panic(fmt.Sprintf("core: core %d piggyback mask %#x overlaps own speculative sub-blocks of line %#x",
-			e.id, mask, uint64(l)))
+			e.id, mask, uint64(e.ix.Line(idx))))
 	}
 	fresh := mask &^ ls.wr // already-Dirty granules are not re-marked
 	ls.wr |= fresh
@@ -754,8 +726,8 @@ func (e *Engine) applyPiggyback(l mem.LineAddr, mask uint64) {
 // non-invalidating probes the reply carries the written-sub-block piggyback
 // mask.
 func (e *Engine) Snoop(p coherence.Probe) coherence.Reply {
-	ls := e.lookup(p.Line)
-	stateValid := e.bus.State(e.id, p.Line).Valid()
+	ls := e.at(p.Idx)
+	stateValid := e.bus.StateAt(e.id, p.Idx).Valid()
 
 	conflict := false
 	speculatedWAR := false
@@ -804,7 +776,7 @@ func (e *Engine) Snoop(p coherence.Probe) coherence.Reply {
 	}
 
 	if conflict {
-		v := e.fp.Judge(p.Line, p.Off, p.Size, p.Invalidating)
+		v := e.fp.Judge(p.Idx, p.Off, p.Size, p.Invalidating)
 		e.Stats.Conflicts++
 		e.Stats.ByType[v.Type]++
 		if !v.True {
@@ -821,7 +793,7 @@ func (e *Engine) Snoop(p coherence.Probe) coherence.Reply {
 		e.abortSelf(ReasonConflict)
 		// After the abort all speculative state is gone; fall through so
 		// invalidation housekeeping still runs for what remains.
-		ls = e.lookup(p.Line)
+		ls = e.at(p.Idx)
 	}
 
 	var reply coherence.Reply
@@ -850,7 +822,7 @@ func (e *Engine) Snoop(p coherence.Probe) coherence.Reply {
 		default:
 			// No live speculative state worth retaining: dirty marks are
 			// meaningless without the cached data.
-			e.forget(p.Line)
+			e.forget(p.Idx)
 		}
 	}
 	return reply
@@ -864,7 +836,7 @@ func (e *Engine) WouldConflict(p coherence.Probe) bool {
 	if !e.inTx || e.abortPending {
 		return false
 	}
-	ls := e.lookup(p.Line)
+	ls := e.at(p.Idx)
 	if ls == nil {
 		return false
 	}
@@ -903,14 +875,14 @@ func (e *Engine) checkConflict(ls *lineState, p coherence.Probe) bool {
 }
 
 // MagicProbe is the Perfect-mode holder-side check: the machine calls it on
-// every OTHER core for each speculative access. It aborts this core's
-// transaction iff the access truly (byte-exactly) conflicts with it, and
-// reports what it did.
-func (e *Engine) MagicProbe(from int, line mem.LineAddr, off, size int, write bool) bool {
+// every OTHER core for each access piece p, whose line index is idx. It
+// aborts this core's transaction iff the access truly (byte-exactly)
+// conflicts with it, and reports what it did.
+func (e *Engine) MagicProbe(from int, p mem.Access, idx int, write bool) bool {
 	if !e.inTx || e.abortPending {
 		return false
 	}
-	v := e.fp.Judge(line, off, size, write)
+	v := e.fp.Judge(idx, p.Off, p.Size, write)
 	if !v.True {
 		return false
 	}
@@ -919,7 +891,7 @@ func (e *Engine) MagicProbe(from int, line mem.LineAddr, off, size int, write bo
 	if e.hook.OnConflict != nil {
 		e.hook.OnConflict(Conflict{
 			Holder: e.id, Requester: from,
-			Line: line, Off: off, Size: size,
+			Line: p.Line, Off: p.Off, Size: p.Size,
 			Invalidating: write, Verdict: v,
 		})
 	}

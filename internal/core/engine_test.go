@@ -498,15 +498,21 @@ func TestMagicProbeTrueConflictOnly(t *testing.T) {
 	h.BeginTx()
 	h.Store(lineA, 8, true)
 
+	// magic runs h's check for a one-line access [a, a+size) by core 1.
+	magic := func(a mem.Addr, size int, write bool) bool {
+		p := mem.Access{Line: mem.DefaultGeometry.Line(a), Off: mem.DefaultGeometry.Offset(a), Size: size}
+		return h.MagicProbe(1, p, r.bus.LineIndex().Index(p.Line), write)
+	}
+
 	// Disjoint bytes in the same line: no conflict in the perfect system.
-	if h.MagicProbe(1, mem.DefaultGeometry.Line(lineA), 32, 8, true) {
+	if magic(lineA+32, 8, true) {
 		t.Fatal("perfect system reported a false conflict")
 	}
 	if ab, _ := aborted(h); ab {
 		t.Fatal("holder aborted on disjoint probe")
 	}
 	// Overlapping read: true RAW.
-	if !h.MagicProbe(1, mem.DefaultGeometry.Line(lineA), 4, 2, false) {
+	if !magic(lineA+4, 2, false) {
 		t.Fatal("perfect system missed a true conflict")
 	}
 	if ab, _ := aborted(h); !ab {

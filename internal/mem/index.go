@@ -2,7 +2,7 @@ package mem
 
 // LineIndexer assigns small dense integer indices to cache-line addresses
 // in first-touch order. The simulator's per-line bookkeeping (coherence
-// state, snoop-filter directory, speculative sub-block masks, footprint
+// state, snoop-filter holder set, speculative sub-block masks, footprint
 // bitsets) is keyed by these indices instead of by LineAddr, which turns
 // hash-map lookups on the hot path into slice indexing and lets "clear
 // everything" be an epoch bump in the owning table.

@@ -85,10 +85,9 @@ func (f *Footprint) Reset() {
 	f.touched = f.touched[:0]
 }
 
-// slot returns the word base for line, reviving (zeroing) its bits on
-// first touch this attempt.
-func (f *Footprint) slot(line mem.LineAddr) int {
-	idx := f.ix.Index(line)
+// slot returns the word base for line index idx, reviving (zeroing) its
+// bits on first touch this attempt.
+func (f *Footprint) slot(idx int) int {
 	for len(f.lineEpoch) <= idx {
 		f.lineEpoch = append(f.lineEpoch, 0)
 		for i := 0; i < f.wpl; i++ {
@@ -108,13 +107,22 @@ func (f *Footprint) slot(line mem.LineAddr) int {
 	return base
 }
 
-// live returns the word base for line if it was touched this attempt.
-func (f *Footprint) live(line mem.LineAddr) (int, bool) {
-	idx, ok := f.ix.Lookup(line)
-	if !ok || idx >= len(f.lineEpoch) || f.lineEpoch[idx] != f.epoch {
+// live returns the word base for line index idx if it was touched this
+// attempt.
+func (f *Footprint) live(idx int) (int, bool) {
+	if idx >= len(f.lineEpoch) || f.lineEpoch[idx] != f.epoch {
 		return 0, false
 	}
 	return idx * f.wpl, true
+}
+
+// liveAddr is live for a line address, for the inspection API.
+func (f *Footprint) liveAddr(line mem.LineAddr) (int, bool) {
+	idx, ok := f.ix.Lookup(line)
+	if !ok {
+		return 0, false
+	}
+	return f.live(idx)
 }
 
 // clampRange confines [lo, hi) to the line's byte span and reports whether
@@ -170,17 +178,18 @@ func (f *Footprint) anyBits(words []uint64, base int) bool {
 	return false
 }
 
-// RecordRead adds the line-confined byte range [off, off+size) to the read set.
-func (f *Footprint) RecordRead(line mem.LineAddr, off, size int) {
-	base := f.slot(line)
+// RecordRead adds the line-confined byte range [off, off+size) of line
+// index idx to the read set.
+func (f *Footprint) RecordRead(idx, off, size int) {
+	base := f.slot(idx)
 	if lo, hi, ok := f.clampRange(off, off+size); ok {
 		setRange(f.reads, base, lo, hi)
 	}
 }
 
 // RecordWrite adds the range to the write set.
-func (f *Footprint) RecordWrite(line mem.LineAddr, off, size int) {
-	base := f.slot(line)
+func (f *Footprint) RecordWrite(idx, off, size int) {
+	base := f.slot(idx)
 	if lo, hi, ok := f.clampRange(off, off+size); ok {
 		setRange(f.writes, base, lo, hi)
 	}
@@ -204,7 +213,7 @@ func (f *Footprint) intervalsOf(words []uint64, base int) *mem.IntervalSet {
 
 // ReadBytes returns the read-set intervals for line (nil if none).
 func (f *Footprint) ReadBytes(line mem.LineAddr) *mem.IntervalSet {
-	if base, ok := f.live(line); ok {
+	if base, ok := f.liveAddr(line); ok {
 		return f.intervalsOf(f.reads, base)
 	}
 	return nil
@@ -212,7 +221,7 @@ func (f *Footprint) ReadBytes(line mem.LineAddr) *mem.IntervalSet {
 
 // WriteBytes returns the write-set intervals for line (nil if none).
 func (f *Footprint) WriteBytes(line mem.LineAddr) *mem.IntervalSet {
-	if base, ok := f.live(line); ok {
+	if base, ok := f.liveAddr(line); ok {
 		return f.intervalsOf(f.writes, base)
 	}
 	return nil
@@ -223,7 +232,7 @@ func (f *Footprint) WriteBytes(line mem.LineAddr) *mem.IntervalSet {
 // untouched. Equivalent to ReadBytes(line).SubBlockMask(lineSize, n)
 // without materializing intervals.
 func (f *Footprint) ReadSubBlockMask(line mem.LineAddr, n int) uint64 {
-	if base, ok := f.live(line); ok {
+	if base, ok := f.liveAddr(line); ok {
 		return f.subBlockMask(f.reads, base, n)
 	}
 	return 0
@@ -231,7 +240,7 @@ func (f *Footprint) ReadSubBlockMask(line mem.LineAddr, n int) uint64 {
 
 // WriteSubBlockMask is ReadSubBlockMask for the write set.
 func (f *Footprint) WriteSubBlockMask(line mem.LineAddr, n int) uint64 {
-	if base, ok := f.live(line); ok {
+	if base, ok := f.liveAddr(line); ok {
 		return f.subBlockMask(f.writes, base, n)
 	}
 	return 0
@@ -254,7 +263,7 @@ func (f *Footprint) subBlockMask(words []uint64, base, n int) uint64 {
 
 // HasLine reports whether the footprint touches line at all.
 func (f *Footprint) HasLine(line mem.LineAddr) bool {
-	base, ok := f.live(line)
+	base, ok := f.liveAddr(line)
 	if !ok {
 		return false
 	}
@@ -291,8 +300,8 @@ type Verdict struct {
 }
 
 // Judge classifies a conflict between an incoming probe (invalidating =
-// write-intent) covering bytes [off, off+size) of line, and the holder's
-// footprint f.
+// write-intent) covering bytes [off, off+size) of line index idx, and the
+// holder's footprint f.
 //
 //   - Typing follows the holder's speculative use of the LINE, which is
 //     what the hardware counters can see: an invalidating probe against a
@@ -303,8 +312,8 @@ type Verdict struct {
 //     overlaps the holder's read or write BYTES; a read probe only if it
 //     overlaps the holder's written BYTES. Everything else is a false
 //     conflict caused by sub-line false sharing.
-func (f *Footprint) Judge(line mem.LineAddr, off, size int, invalidating bool) Verdict {
-	base, liveLine := f.live(line)
+func (f *Footprint) Judge(idx, off, size int, invalidating bool) Verdict {
+	base, liveLine := f.live(idx)
 	lo, hi, inRange := 0, 0, false
 	if liveLine {
 		lo, hi, inRange = f.clampRange(off, off+size)
@@ -326,10 +335,11 @@ func (f *Footprint) Judge(line mem.LineAddr, off, size int, invalidating bool) V
 }
 
 // PerfectConflict implements the paper's ideal zero-false-conflict system:
-// it reports whether the probe is a conflict at byte granularity. It is
-// exactly Judge(...).True.
+// it reports whether a probe of line is a conflict at byte granularity. It
+// is exactly Judge(...).True on the line's index.
 func (f *Footprint) PerfectConflict(line mem.LineAddr, off, size int, invalidating bool) bool {
-	return f.Judge(line, off, size, invalidating).True
+	idx, ok := f.ix.Lookup(line)
+	return ok && f.Judge(idx, off, size, invalidating).True
 }
 
 // LineCount returns the number of distinct lines in the footprint, used by

@@ -11,6 +11,10 @@ const line = mem.LineAddr(0x40)
 
 func newFP() *Footprint { return NewFootprint(mem.DefaultGeometry) }
 
+// at returns l's dense index in fp's line indexer, assigning one on first
+// use, the way the engine resolves a piece's line before recording it.
+func at(fp *Footprint, l mem.LineAddr) int { return fp.ix.Index(l) }
+
 func TestJudgeTypingMatrix(t *testing.T) {
 	// The full WAR/RAW/WAW typing matrix of Fig. 2, at line granularity.
 	cases := []struct {
@@ -28,12 +32,12 @@ func TestJudgeTypingMatrix(t *testing.T) {
 	for _, c := range cases {
 		fp := newFP()
 		if c.read {
-			fp.RecordRead(line, 0, 8)
+			fp.RecordRead(at(fp, line), 0, 8)
 		}
 		if c.write {
-			fp.RecordWrite(line, 8, 8)
+			fp.RecordWrite(at(fp, line), 8, 8)
 		}
-		v := fp.Judge(line, 32, 8, c.invalidating)
+		v := fp.Judge(at(fp, line), 32, 8, c.invalidating)
 		if v.Type != c.wantType {
 			t.Errorf("%s: type %v, want %v", c.name, v.Type, c.wantType)
 		}
@@ -45,36 +49,36 @@ func TestJudgeTypingMatrix(t *testing.T) {
 
 func TestJudgeTruthByteExact(t *testing.T) {
 	fp := newFP()
-	fp.RecordRead(line, 0, 4)
-	fp.RecordWrite(line, 16, 4)
+	fp.RecordRead(at(fp, line), 0, 4)
+	fp.RecordWrite(at(fp, line), 16, 4)
 
 	// Write probe overlapping the read bytes: true WAR.
-	if v := fp.Judge(line, 2, 4, true); !v.True {
+	if v := fp.Judge(at(fp, line), 2, 4, true); !v.True {
 		t.Error("write probe over read bytes not true")
 	}
 	// Write probe overlapping the written bytes: true, typed WAW.
-	if v := fp.Judge(line, 16, 1, true); !v.True || v.Type != WAW {
+	if v := fp.Judge(at(fp, line), 16, 1, true); !v.True || v.Type != WAW {
 		t.Errorf("write probe over written bytes: %+v", v)
 	}
 	// Read probe overlapping only the READ bytes: no true conflict
 	// (read-read is never a conflict).
-	if v := fp.Judge(line, 0, 4, false); v.True {
+	if v := fp.Judge(at(fp, line), 0, 4, false); v.True {
 		t.Error("read probe over read bytes judged true")
 	}
 	// Read probe overlapping written bytes: true RAW.
-	if v := fp.Judge(line, 19, 2, false); !v.True || v.Type != RAW {
+	if v := fp.Judge(at(fp, line), 19, 2, false); !v.True || v.Type != RAW {
 		t.Errorf("read probe over written bytes: %+v", v)
 	}
 	// Byte adjacency is not overlap.
-	if v := fp.Judge(line, 4, 12, true); v.True {
+	if v := fp.Judge(at(fp, line), 4, 12, true); v.True {
 		t.Error("adjacent-but-disjoint probe judged true")
 	}
 }
 
 func TestJudgeOtherLine(t *testing.T) {
 	fp := newFP()
-	fp.RecordWrite(line, 0, 8)
-	v := fp.Judge(line+64, 0, 8, true)
+	fp.RecordWrite(at(fp, line), 0, 8)
+	v := fp.Judge(at(fp, line+64), 0, 8, true)
 	if v.True {
 		t.Error("conflict on untouched line")
 	}
@@ -87,10 +91,10 @@ func TestJudgeOtherLine(t *testing.T) {
 func TestPerfectConflictEquivalence(t *testing.T) {
 	f := func(roff, rsz, woff, wsz, poff, psz uint8, inv bool) bool {
 		fp := newFP()
-		fp.RecordRead(line, int(roff)%64, int(rsz)%8+1)
-		fp.RecordWrite(line, int(woff)%64, int(wsz)%8+1)
+		fp.RecordRead(at(fp, line), int(roff)%64, int(rsz)%8+1)
+		fp.RecordWrite(at(fp, line), int(woff)%64, int(wsz)%8+1)
 		off, sz := int(poff)%64, int(psz)%8+1
-		return fp.PerfectConflict(line, off, sz, inv) == fp.Judge(line, off, sz, inv).True
+		return fp.PerfectConflict(line, off, sz, inv) == fp.Judge(at(fp, line), off, sz, inv).True
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -99,8 +103,8 @@ func TestPerfectConflictEquivalence(t *testing.T) {
 
 func TestFootprintReset(t *testing.T) {
 	fp := newFP()
-	fp.RecordRead(line, 0, 8)
-	fp.RecordWrite(line+64, 0, 8)
+	fp.RecordRead(at(fp, line), 0, 8)
+	fp.RecordWrite(at(fp, line+64), 0, 8)
 	fp.Reset()
 	if fp.HasLine(line) || fp.HasLine(line+64) || len(fp.Lines()) != 0 {
 		t.Fatal("Reset left state")
@@ -112,9 +116,9 @@ func TestFootprintReset(t *testing.T) {
 
 func TestLinesSortedAndWrittenLines(t *testing.T) {
 	fp := newFP()
-	fp.RecordWrite(3*64, 0, 4)
-	fp.RecordRead(1*64, 0, 4)
-	fp.RecordWrite(2*64, 0, 4)
+	fp.RecordWrite(at(fp, 3*64), 0, 4)
+	fp.RecordRead(at(fp, 1*64), 0, 4)
+	fp.RecordWrite(at(fp, 2*64), 0, 4)
 	lines := fp.Lines()
 	if len(lines) != 3 || lines[0] != 64 || lines[1] != 128 || lines[2] != 192 {
 		t.Fatalf("Lines() = %v", lines)
@@ -130,8 +134,8 @@ func TestLinesSortedAndWrittenLines(t *testing.T) {
 
 func TestByteCountsMergeOverlaps(t *testing.T) {
 	fp := newFP()
-	fp.RecordRead(line, 0, 8)
-	fp.RecordRead(line, 4, 8) // overlapping: total distinct read bytes = 12
+	fp.RecordRead(at(fp, line), 0, 8)
+	fp.RecordRead(at(fp, line), 4, 8) // overlapping: total distinct read bytes = 12
 	r, w := fp.ByteCounts()
 	if r != 12 || w != 0 {
 		t.Fatalf("ByteCounts = (%d,%d), want (12,0)", r, w)
@@ -149,7 +153,7 @@ func TestReadAndWriteBytesAccessors(t *testing.T) {
 	if fp.ReadBytes(line) != nil || fp.WriteBytes(line) != nil {
 		t.Fatal("accessors non-nil on empty footprint")
 	}
-	fp.RecordRead(line, 10, 2)
+	fp.RecordRead(at(fp, line), 10, 2)
 	if s := fp.ReadBytes(line); s == nil || !s.Contains(10, 12) {
 		t.Fatal("ReadBytes lost the record")
 	}

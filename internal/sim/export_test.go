@@ -29,3 +29,7 @@ func (m *Machine) Coroutines() int {
 	}
 	return n
 }
+
+// SetSnoopFilter turns the snoop filter of every machine built or reset
+// afterwards on or off.
+func SetSnoopFilter(on bool) { snoopFilter = on }

@@ -277,14 +277,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	m.alloc = mem.NewAllocator(m.geom, mem.Addr(m.geom.LineSize))
 	m.bus.SetSubBlocks(cfg.Core.Granules())
-	if cfg.Core.Mode != core.ModeSignature {
-		// Skip probe deliveries to cores that never issued a bus
-		// transaction for the line — for them Snoop is a no-op, so this
-		// is invisible to both the protocol and conflict detection. The
-		// exception is Bloom signatures, which must alias-hit on lines
-		// the core never touched (see coherence.EnableSnoopFilter).
-		m.bus.EnableSnoopFilter()
-	}
+	m.enableSnoopFilter()
 	m.ledger = oracle.NewLedger(cfg.Cores)
 
 	if cfg.EventLog != nil {
@@ -312,6 +305,22 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m.lockAddr = m.alloc.AllocLine(8)
 	m.lockLine = m.geom.Line(m.lockAddr)
 	return m, nil
+}
+
+// snoopFilter is true outside tests; a test turns it off to prove the
+// filter changes no result.
+var snoopFilter = true
+
+// enableSnoopFilter turns on the bus's snoop filter, which delivers a probe
+// only to the cores holding a copy of the line or engine state for it: for
+// every other core Snoop is a no-op, so this is invisible to both the
+// protocol and conflict detection. The exception is Bloom signatures,
+// which must alias-hit on lines the core holds nothing for (see
+// coherence.EnableSnoopFilter).
+func (m *Machine) enableSnoopFilter() {
+	if snoopFilter && m.cfg.Core.Mode != core.ModeSignature {
+		m.bus.EnableSnoopFilter()
+	}
 }
 
 // Reset rewinds an executed machine to the fresh-from-NewMachine state
@@ -342,9 +351,7 @@ func (m *Machine) Reset(cfg Config) error {
 
 	m.bus.Reset()
 	m.bus.SetSubBlocks(cfg.Core.Granules())
-	if cfg.Core.Mode != core.ModeSignature {
-		m.bus.EnableSnoopFilter()
-	}
+	m.enableSnoopFilter()
 	hooks := m.hooksFor(cfg)
 	for i := range m.engines {
 		m.hiers[i].Reset()
@@ -473,12 +480,18 @@ func (m *Machine) magicCheck(requester int, a mem.Addr, size int, write bool) {
 		return
 	}
 	m.splitBuf = m.geom.SplitByLineInto(m.splitBuf, a, size)
+	ix := m.bus.LineIndex()
 	for _, p := range m.splitBuf {
+		// A line with no index yet is in no footprint.
+		idx, ok := ix.Lookup(p.Line)
+		if !ok {
+			continue
+		}
 		for _, e := range m.engines {
 			if e.ID() == requester {
 				continue
 			}
-			e.MagicProbe(requester, p.Line, p.Off, p.Size, write)
+			e.MagicProbe(requester, p, idx, write)
 		}
 	}
 }
