@@ -173,15 +173,10 @@ func (h *Hierarchy) Access(l mem.LineAddr) (Level, EvictionSet) {
 		if v, ok := h.l3.Insert(l); ok {
 			h.expel(v, &ev)
 		}
-		if v, ok := h.l2.Insert(l); ok {
-			_ = v // L2 victim stays in L3: latency-only model
-		}
 	}
 	// Promote into the levels above the hit level.
 	if lv == LevelL3 || lv == LevelMiss {
-		if _, ok := h.l2.Insert(l); ok {
-			// L2 victim remains in L3.
-		}
+		h.l2.Insert(l) // an L2 victim stays in L3: latency-only model
 	}
 	if v, ok := h.l1.Insert(l); ok {
 		ev.FromL1 = append(ev.FromL1, v)
