@@ -139,6 +139,14 @@ func TestCLIEndToEnd(t *testing.T) {
 		}
 	})
 
+	t.Run("asfd", func(t *testing.T) {
+		bin := buildCmd(t, dir, "asfd")
+		// The journal holds the cache: a snapshot path beside it would go
+		// unused, so the pair is refused before anything starts.
+		runBinExpectUsageError(t, bin, "-addr", "127.0.0.1:0",
+			"-journal", filepath.Join(dir, "j.wal"), "-cache-snapshot", filepath.Join(dir, "c.snap"))
+	})
+
 	t.Run("paperfigs", func(t *testing.T) {
 		bin := buildCmd(t, dir, "paperfigs")
 		if out := runBin(t, bin, "-table", "2"); !strings.Contains(out, "64KB") {

@@ -28,19 +28,23 @@
 //
 // SIGINT/SIGTERM drain gracefully: the HTTP listener stops, queued and
 // running jobs finish (up to -drain-timeout, after which in-flight
-// simulations are canceled), and the cache snapshot is written.
+// simulations are canceled), and a last checkpoint is written.
 //
 // Everything the daemon persists or replicates is one CRC-framed record
-// log. -cache-snapshot holds a compacted segment of it (the cache's
-// results with their digests). With -journal the daemon is crash-safe:
-// every accepted job is written to the fsync'd append-only journal
-// before it is acknowledged, and every settled result follows it there;
-// on restart the snapshot and then the journal are replayed — settled
-// cells are served from the cache, unfinished ones are re-enqueued.
-// Every record is verified on load (frame CRC and result digest) and a
-// bad one is quarantined alone. Disk-write failures degrade the daemon
-// to memory-only operation (visible on /healthz) instead of crashing
-// it. -replicate-from streams the same records to a warm standby.
+// log, and the daemon keeps one durable file of it. -cache-snapshot
+// alone keeps the cache: a compacted segment of its results with their
+// digests. -journal makes the daemon crash-safe instead: every accepted
+// job is written to the fsync'd append-only journal before it is
+// acknowledged, and every settled result follows it there; each
+// checkpoint (on shutdown, and every -snapshot-interval) rewrites the
+// journal as one segment holding the cache and the live jobs. On
+// restart the file is replayed — settled cells are served from the
+// cache, unfinished ones are re-enqueued. The two flags exclude each
+// other. Every record is verified on load (frame CRC and result digest)
+// and a bad one is quarantined alone. Disk-write failures degrade the
+// daemon to memory-only operation (visible on /healthz) instead of
+// crashing it. -replicate-from streams the same records to a warm
+// standby.
 package main
 
 import (
@@ -66,9 +70,9 @@ func main() {
 	workers := flag.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
 	queueDepth := flag.Int("queue", 64, "job queue depth (backpressure bound)")
 	cacheEntries := flag.Int("cache-entries", 1024, "result cache bound (entries)")
-	snapshot := flag.String("cache-snapshot", "", "cache snapshot path (persisted on shutdown, reloaded on start)")
-	snapshotInterval := flag.Duration("snapshot-interval", 0, "periodic cache-snapshot flush (0 = only on shutdown); needs -cache-snapshot")
-	journal := flag.String("journal", "", "job journal path (crash-safe: accepted jobs are fsync'd and replayed on restart)")
+	snapshot := flag.String("cache-snapshot", "", "cache snapshot path for a daemon without -journal (persisted on shutdown, reloaded on start)")
+	snapshotInterval := flag.Duration("snapshot-interval", 0, "periodic checkpoint of -cache-snapshot or -journal (0 = only on shutdown)")
+	journal := flag.String("journal", "", "job journal path (crash-safe: accepted jobs are fsync'd and replayed on restart; holds the cache too)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive failures of one cell before resubmissions get 422 (0 = default 3, negative disables)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-clock cap (0 = unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "shutdown drain budget before in-flight jobs are canceled")
@@ -83,13 +87,17 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof (empty disables)")
 	replicateFrom := flag.String("replicate-from", "", "primary base URL to follow as a warm standby (boots without workers; promote via POST /v1/replication/promote)")
 	replicationLagMax := flag.Int("replication-lag-max", 0, "/healthz reports \"lagging\" when the follower is more than this many records behind (0 disables)")
-	promoteOnStart := flag.Bool("promote-on-start", false, "boot as a standby (replaying the local journal and snapshot) and immediately promote to serving primary")
+	promoteOnStart := flag.Bool("promote-on-start", false, "boot as a standby (replaying the local journal or snapshot) and immediately promote to serving primary")
 	scrubInterval := flag.Duration("scrub-interval", 0, "background integrity scrub pass interval (0 disables the scrubber and the serve-path digest guard)")
 	auditSampleRate := flag.Float64("audit-sample-rate", 0, "fraction of scanned entries fully re-executed per scrub pass, 0..1 (rotates deterministically across passes)")
 	auditSeed := flag.Uint64("audit-seed", 0, "seed for the deterministic scrub walk order and re-execution sample (0 = default 1; pin for reproducible audits)")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "request body size cap in bytes; oversized submissions get 413 (0 = default 8 MiB, negative disables)")
 	flag.Parse()
 
+	if *snapshot != "" && *journal != "" {
+		fmt.Fprintln(os.Stderr, "asfd: -cache-snapshot and -journal exclude each other: the journal holds the cache")
+		os.Exit(2)
+	}
 	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "asfd: %v\n", err)
@@ -140,7 +148,7 @@ func main() {
 	switch {
 	case *promoteOnStart:
 		// Take over from a dead primary using whatever the local journal
-		// and snapshot preserved: settled keys serve from the cache,
+		// preserved: settled keys serve from the cache,
 		// expired pending jobs are shed, the rest re-enqueue.
 		st, perr := srv.Promote()
 		if perr != nil {
@@ -205,7 +213,7 @@ func main() {
 	}
 
 	// Stop the listener first so no new jobs arrive, then drain the
-	// service (which writes the cache snapshot last).
+	// service (which checkpoints last).
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if follower != nil {
@@ -215,8 +223,8 @@ func main() {
 		logger.Warn("http shutdown", "err", err)
 	}
 	// A failed final persist is logged, not fatal: the drain itself
-	// succeeded, and the journal (when enabled) still covers anything
-	// the snapshot missed.
+	// succeeded, and the journal (when enabled) still holds every record
+	// since its last checkpoint.
 	if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Warn("shutdown persist", "err", err)
 	}

@@ -90,13 +90,14 @@ func quarantineRecords(t *testing.T, path string) []audit.QuarantineRecord {
 
 // TestAuditScrubSoak is the at-rest-corruption endgame: one asfd with
 // the scrubber armed, killed and rebooted three times, with a seeded
-// digit flip injected into two snapshot entries between each boot. Every
-// injected flip must be detected (scrubCorruptions == injected), every
-// quarantined entry must be repaired to bytes identical to the clean
-// run, no corrupted byte may ever reach a client, and — outside the
-// serve-guard cycle, where the recomputation is itself the repair — the
-// production cycle ledger must stay at zero: integrity work is
-// accounted to the audit counters, never to serving.
+// digit flip injected into two cache entries of its journal's checkpoint
+// between each boot. Every injected flip must be detected
+// (scrubCorruptions == injected), every quarantined entry must be
+// repaired to bytes identical to the clean run, no corrupted byte may
+// ever reach a client, and — outside the serve-guard cycle, where the
+// recomputation is itself the repair — the production cycle ledger must
+// stay at zero: integrity work is accounted to the audit counters, never
+// to serving.
 func TestAuditScrubSoak(t *testing.T) {
 	seed := auditSeed(t)
 	logf := chaosLog(t)
@@ -157,15 +158,17 @@ func TestAuditScrubSoak(t *testing.T) {
 		}
 	}
 
-	snapPath := filepath.Join(node.dir, "cache.json")
-	qPath := filepath.Join(node.dir, "journal.wal.audit-quarantine")
+	// The journal is the node's only durable file: its checkpoint holds
+	// the cache entries.
+	jPath := filepath.Join(node.dir, "journal.wal")
+	qPath := jPath + ".audit-quarantine"
 	totalInjected := 0
 
 	for cycle := 1; cycle <= 3; cycle++ {
 		node.kill(t)
-		injected, err := FlipSnapshotResults(snapPath, seed+uint64(cycle), 2)
+		injected, err := FlipSnapshotResults(jPath, seed+uint64(cycle), 2)
 		if err != nil {
-			t.Fatalf("cycle %d: injecting snapshot flips: %v", cycle, err)
+			t.Fatalf("cycle %d: injecting journal flips: %v", cycle, err)
 		}
 		if injected != 2 {
 			t.Fatalf("cycle %d: injected %d flips, want 2", cycle, injected)

@@ -60,7 +60,7 @@ func flipTargets(data []byte) []int {
 }
 
 // FlipSnapshotResults corrupts up to n distinct cache entries in the
-// snapshot segment at path: for each selected done record, one digit
+// segment at path (a cache snapshot, or a journal's checkpoint): for each selected done record, one digit
 // inside its stored result bytes is XOR'd with 1 and the line's frame
 // CRC is re-sealed over the damaged payload. That models corruption
 // that happened before the record was framed (bad memory on the writing

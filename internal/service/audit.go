@@ -28,9 +28,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -248,48 +246,21 @@ func (s *Server) ScrubPass() AuditPassReport {
 	return rep
 }
 
-// scrubJournal sweeps the on-disk journal for records that no longer
-// verify — at-rest corruption the replay path would only discover at
-// the next boot. Repair is a Persist: the journal is rewritten from the
-// in-memory cache and job table, so the corrupt lines are simply
-// dropped.
+// scrubJournal sweeps the on-disk journal with boot's scanner for frames
+// that no longer verify: at-rest corruption replay would only meet at the
+// next boot. An entry failing its digest is the cache walk's (boot loaded
+// it), and a bad final line is a crash or racing append mid-write. Repair
+// is a Persist: the journal is rewritten from memory, minus the bad lines.
 func (s *Server) scrubJournal(pass uint64, rep *AuditPassReport) {
 	if !s.log.journaling() {
 		return // off, degraded or closed: no journal to scrub or repair
 	}
-	f, err := s.cfg.FS.Open(s.cfg.JournalPath)
-	if err != nil {
-		return
-	}
-	data, rerr := io.ReadAll(f)
-	f.Close()
-	if rerr != nil {
-		return
-	}
-	lines := bytes.Split(data, []byte("\n"))
-	last := len(lines) - 1
-	for last >= 0 && len(lines[last]) == 0 {
-		last--
-	}
 	bad := 0
-	for i := 0; i <= last; i++ {
-		line := lines[i]
-		if len(line) == 0 {
-			continue
-		}
-		if _, err := parseFrame(line); err != nil && !errors.Is(err, errStale) {
-			if i == last {
-				// A bad final line is the signature of a crash (or a racing
-				// append) mid-write, not at-rest corruption; replay already
-				// tolerates it as torn.
-				continue
-			}
-			bad++
-			s.auditQuarantine(audit.QuarantineRecord{
-				Reason: "journal-crc", Pass: pass, Source: "journal",
-			})
-		}
-	}
+	scanRecords(s.cfg.FS, s.cfg.JournalPath, true, func(journalRecord) error { return nil }, func([]byte) error {
+		bad++
+		s.auditQuarantine(audit.QuarantineRecord{Reason: "journal-crc", Pass: pass, Source: "journal"})
+		return nil
+	})
 	if bad == 0 {
 		return
 	}

@@ -216,13 +216,13 @@ func (m *Metrics) JournalQuarantinedRecords() uint64 {
 }
 
 // noteRecovery records the outcome of a journal replay.
-func (m *Metrics) noteRecovery(reenqueued, fromCache, terminal, torn, quarantined int) {
+func (m *Metrics) noteRecovery(st RecoveryStats) {
 	m.mu.Lock()
-	m.recoveredReenqueued += uint64(reenqueued)
-	m.recoveredFromCache += uint64(fromCache)
-	m.recoveredTerminal += uint64(terminal)
-	m.journalTornRecords += uint64(torn)
-	m.journalQuarantinedRecords += uint64(quarantined)
+	m.recoveredReenqueued += uint64(st.Reenqueued)
+	m.recoveredFromCache += uint64(st.FromCache)
+	m.recoveredTerminal += uint64(st.Terminal)
+	m.journalTornRecords += uint64(st.Torn)
+	m.journalQuarantinedRecords += uint64(st.Quarantined)
 	m.mu.Unlock()
 }
 

@@ -27,7 +27,7 @@ func KeySchemaVersion() int { return keySchemaVersion }
 //	journal      one fsync'd journal append
 //	execute      the simulation itself (machine acquire + run)
 //	respond      GET /v1/jobs/{id} render time
-//	snapshot     one cache snapshot flush + journal compaction
+//	snapshot     one checkpoint (Persist): journal compaction or snapshot write
 //
 // Every histogram is lock-free and allocation-free (obs.Hist), so the
 // stages are recorded unconditionally — tracing on or off.

@@ -111,10 +111,11 @@ func (s *Server) readReplicated(r io.Reader) ([]journalRecord, [][]byte, error) 
 // segment is the primary's whole live state: it replaces the follower's
 // job table (live jobs come back pending — the standby executes
 // nothing), fills the cache, and restarts the follower's log at the
-// checkpoint's sequence number. A follower with a snapshot or journal
-// then checkpoints (Persist), so a restart resumes from the bootstrapped
-// state and sequence, not from records of the timeline it replaced.
-// Returns the number of cache entries applied.
+// checkpoint's sequence number. The follower then checkpoints (Persist),
+// so a restart resumes from the bootstrapped state and sequence, not from
+// records of the timeline it replaced; if that checkpoint fails, its
+// durable file still holds only the old timeline. Returns the number of
+// cache entries applied.
 func (s *Server) ApplyReplicatedSnapshot(r io.Reader) (int, error) {
 	recs, _, err := s.readReplicated(r)
 	if err != nil {
@@ -142,9 +143,7 @@ func (s *Server) ApplyReplicatedSnapshot(r io.Reader) (int, error) {
 	s.replPrimaryNext = recs[0].Seq
 	s.mu.Unlock()
 
-	if s.cfg.SnapshotPath != "" || s.cfg.JournalPath != "" {
-		s.Persist()
-	}
+	s.Persist()
 	// Quarantined keys the scrubber marked repair-pending may just have
 	// been restored by this verified snapshot.
 	s.auditSettleRepairs()
@@ -356,7 +355,7 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.mu.Lock()
-	seg := s.segmentLocked(true, true)
+	seg := s.segmentLocked(true)
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	bw := bufio.NewWriter(w)

@@ -502,12 +502,30 @@ func TestReplicationFollowerAheadResyncs(t *testing.T) {
 	}
 }
 
+// renameFailFS fails every rename onto target while armed: a checkpoint
+// whose commit fails after its segment was written.
+type renameFailFS struct {
+	FS
+	target string
+	armed  *atomic.Bool
+}
+
+func (f renameFailFS) Rename(oldname, newname string) error {
+	if f.armed.Load() && newname == f.target {
+		return errors.New("renameFailFS: injected rename failure")
+	}
+	return f.FS.Rename(oldname, newname)
+}
+
 // TestBootstrappedFollowerSurvivesRestart: a journaling follower that
 // re-synced from a snapshot — here one that was ahead of its primary, its
 // journal full of the old timeline's records — crashes after applying
 // one more batch. Restarted on the same paths it holds the bootstrapped
 // entry and pending job, the batch's job, and the primary's sequence;
-// nothing of the timeline the snapshot replaced comes back.
+// nothing of the timeline the snapshot replaced comes back. When the
+// bootstrap's checkpoint fails to commit (the rename onto the journal
+// fails), the restart holds exactly one timeline all the same: the old
+// one or the bootstrapped one, never a mix.
 func TestBootstrappedFollowerSurvivesRestart(t *testing.T) {
 	primary, primaryTS := newTestServer(t, Config{Workers: 1})
 	_, sr := postJob(t, primaryTS, `{"workload":"kmeans","detection":"subblock-4","scale":"tiny","seed":1}`)
@@ -519,14 +537,24 @@ func TestBootstrappedFollowerSurvivesRestart(t *testing.T) {
 	_, cell2 := testCell(t, 2)
 	_, cell3 := testCell(t, 3)
 
-	for _, withSnapshot := range []bool{false, true} {
-		t.Run(fmt.Sprintf("snapshot=%v", withSnapshot), func(t *testing.T) {
+	for _, tc := range []struct {
+		name                     string
+		withSnapshot, failRename bool
+	}{
+		{"snapshot=false", false, false},
+		{"snapshot=true", true, false},
+		{"snapshot=true,journal-rename-fails", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := Config{Workers: 1, Following: true, JournalPath: filepath.Join(dir, "journal.wal")}
-			if withSnapshot {
+			if tc.withSnapshot {
 				cfg.SnapshotPath = filepath.Join(dir, "cache.snap")
 			}
-			follower, err := New(cfg)
+			var armed atomic.Bool
+			failing := cfg
+			failing.FS = renameFailFS{FS: OSFS{}, target: cfg.JournalPath, armed: &armed}
+			follower, err := New(failing)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -549,9 +577,11 @@ func TestBootstrappedFollowerSurvivesRestart(t *testing.T) {
 				frameLine(t, journalRecord{Op: opSubmitted, ID: "job-000002", Key: Key(cellSpec(t, cell3)), Cell: &cell3}),
 				frameLine(t, journalRecord{Op: opEnd, Count: 2}),
 			}, nil)
+			armed.Store(tc.failRename)
 			if _, err := follower.ApplyReplicatedSnapshot(bytes.NewReader(seg)); err != nil {
 				t.Fatal(err)
 			}
+			armed.Store(false)
 			// One streamed batch on top of it, then a crash.
 			tail := newRecordLog(64)
 			tail.reset(5)
@@ -563,6 +593,23 @@ func TestBootstrappedFollowerSurvivesRestart(t *testing.T) {
 			follower.Kill()
 
 			restarted, _ := newTestServer(t, cfg)
+			if tc.failRename {
+				var ids []string
+				for _, v := range restarted.Jobs("") {
+					ids = append(ids, v.ID)
+				}
+				got := fmt.Sprintf("next=%d jobs=%v keys=%v", restarted.ReplNextApply(), ids, restarted.cache.Keys())
+				oldIDs := make([]string, 20)
+				for i := range oldIDs {
+					oldIDs[i] = fmt.Sprintf("job-%06d", 50+i)
+				}
+				oldTimeline := fmt.Sprintf("next=21 jobs=%v keys=[]", oldIDs)
+				bootstrapped := fmt.Sprintf("next=5 jobs=[job-000002] keys=[%s]", entry.Key)
+				if got != oldTimeline && got != bootstrapped {
+					t.Fatalf("restart after a failed checkpoint holds %s; want one timeline:\n  %s\nor\n  %s", got, oldTimeline, bootstrapped)
+				}
+				return
+			}
 			if got := restarted.ReplNextApply(); got != 6 {
 				t.Fatalf("restarted follower resumes at seq %d, want 6", got)
 			}

@@ -357,3 +357,38 @@ func TestPeriodicSnapshotFlush(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestPeriodicJournalCompaction: a journal-only daemon with a
+// SnapshotInterval checkpoints while it runs, so its journal is one
+// segment plus a short tail rather than a record of every cell it ever
+// executed, waiting for the next restart to compact it.
+func TestPeriodicJournalCompaction(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	_, ts := newTestServer(t, Config{
+		Workers:          1,
+		JournalPath:      path,
+		SnapshotInterval: 10 * time.Millisecond,
+	})
+	for seed := 1; seed <= 3; seed++ {
+		_, sr := postJob(t, ts, fmt.Sprintf(`{"workload":"kmeans","detection":"baseline","scale":"tiny","seed":%d}`, seed))
+		waitDone(t, ts, sr.Jobs[0].ID)
+	}
+
+	// Poll until a checkpoint taken after the last job settled lands: one
+	// whole segment holding the three entries (checkpoint, three done
+	// records, trailer) and no tail.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if recs, _, _, err := readRecords(OSFS{}, path, false); err == nil && wholeSegment(recs) && len(recs) == 5 {
+			break
+		}
+		if time.Now().After(deadline) {
+			recs, _, _, _ := readRecords(OSFS{}, path, false)
+			t.Fatalf("journal never compacted while running: %d records, want a 5-record segment", len(recs))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := getMetrics(t, ts).JournalRotations; n < 2 {
+		t.Fatalf("journalRotations = %d, want the boot compaction and at least one periodic one", n)
+	}
+}
