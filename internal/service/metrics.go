@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"sort"
 	"sync"
 
@@ -440,10 +439,4 @@ func (m *Metrics) snapshot(queueDepth, running, admissionLimit int, cache *Cache
 	s.CacheHits, s.CacheMisses, s.CacheEvictions = cache.Counters()
 	s.CacheSize = cache.Len()
 	return s
-}
-
-// renderJSON encodes the snapshot.
-func (s MetricsSnapshot) renderJSON() []byte {
-	b, _ := json.MarshalIndent(s, "", "  ")
-	return b
 }

@@ -719,15 +719,7 @@ func TestPromotionDisposesPendingCorrectly(t *testing.T) {
 	if code != http.StatusOK || v.State != JobDone || !v.CacheHit {
 		t.Fatalf("fromCache job: %d %s cacheHit=%v", code, v.State, v.CacheHit)
 	}
-	// The job endpoint re-indents the envelope, so compare compacted.
-	var got, want bytes.Buffer
-	if err := json.Compact(&got, v.Result); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Compact(&want, entry.Result); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+	if !bytes.Equal(v.Result, entry.Result) {
 		t.Fatal("fromCache result differs from replicated bytes")
 	}
 

@@ -1,7 +1,6 @@
 package asfsim_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -179,12 +178,7 @@ func TestDigestLedger(t *testing.T) {
 		if view.State != service.JobDone {
 			t.Fatalf("%s: job ended %s: %s", c.label, view.State, view.Error)
 		}
-		// The job view arrives indented; the cached bytes are compact JSON.
-		var result bytes.Buffer
-		if err := json.Compact(&result, view.Result); err != nil {
-			t.Fatalf("%s: %v", c.label, err)
-		}
-		if got := service.ResultDigest(result.Bytes()); got != ledger[c.label] {
+		if got := service.ResultDigest(view.Result); got != ledger[c.label] {
 			t.Errorf("%s: served digest %.12s, ledger %.12s", c.label, got, ledger[c.label])
 		}
 	}
