@@ -16,7 +16,6 @@ package client
 // single-endpoint path: with it off, nothing here runs.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -192,15 +191,9 @@ func (c *Client) voteOn(ctx context.Context, ep *endpoint, req service.JobReques
 	}
 	switch view.State {
 	case service.JobDone:
-		// The daemon indents its responses, so the result's whitespace
-		// depends on how deep the response that carried it nests it (a
-		// submit answered from the cache nests it deeper than a job view).
-		// Vote on the compact bytes, the form the daemon stores.
-		var result bytes.Buffer
-		if err := json.Compact(&result, view.Result); err != nil {
-			return quorumVote{}, fmt.Errorf("client: job %s result: %w", view.ID, err)
-		}
-		return quorumVote{ep: ep, result: result.Bytes(), digest: service.ResultDigest(result.Bytes())}, nil
+		// The daemon sends its stored result bytes unchanged in every
+		// response shape, so the received bytes are the ones to vote on.
+		return quorumVote{ep: ep, result: view.Result, digest: service.ResultDigest(view.Result)}, nil
 	case service.JobCanceled:
 		return quorumVote{}, fmt.Errorf("client: job %s canceled: %s", view.ID, view.Error)
 	default:
