@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/jsondec"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/service"
@@ -341,7 +342,8 @@ func (c *Client) pick(candidates []*endpoint, failed map[*endpoint]bool) *endpoi
 // timeouts, budgeted retries with jittered backoff (stretched to any
 // Retry-After hint), failover across endpoints on transport/5xx
 // failures, and hedging for GETs when armed. A 2xx body is decoded into
-// out (when non-nil); any other final status comes back as *APIError.
+// out (when non-nil, and pointing at a zero value, as jsondec requires);
+// any other final status comes back as *APIError.
 // Returns the endpoint that served the successful response so callers
 // can stay sticky to it.
 func (c *Client) request(ctx context.Context, method, path string, body []byte, out any, tgt target) (*endpoint, error) {
@@ -412,7 +414,7 @@ func (c *Client) request(ctx context.Context, method, path string, body []byte, 
 			if out == nil {
 				return ep, nil
 			}
-			return ep, json.Unmarshal(data, out)
+			return ep, jsondec.Unmarshal(data, out)
 		default:
 			apiErr := decodeAPIError(status, data)
 			lastErr = apiErr
@@ -773,7 +775,7 @@ func (c *Client) runCell(ctx context.Context, req service.JobRequest, trace stri
 		switch view.State {
 		case service.JobDone:
 			var rec stats.Record
-			if err := json.Unmarshal(view.Result, &rec); err != nil {
+			if err := jsondec.Unmarshal(view.Result, &rec); err != nil {
 				return nil, fmt.Errorf("client: decoding result for %s: %w", view.ID, err)
 			}
 			return &rec, nil

@@ -22,6 +22,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/jsondec"
 	"repro/internal/service"
 	"repro/internal/stats"
 )
@@ -143,7 +144,7 @@ func (c *Client) runCellQuorum(ctx context.Context, req service.JobRequest, trac
 	}
 
 	var rec stats.Record
-	if err := json.Unmarshal(winner.result, &rec); err != nil {
+	if err := jsondec.Unmarshal(winner.result, &rec); err != nil {
 		return nil, fmt.Errorf("client: decoding quorum result: %w", err)
 	}
 	return &rec, nil

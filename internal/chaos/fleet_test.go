@@ -101,12 +101,16 @@ func (n *fleetNode) boot(t *testing.T) {
 	go n.hs.Serve(ln)
 }
 
+// kill stops the node as a crash would look from the network: the
+// listener and every connection close first, so no caller hears from it
+// again, and only then does it checkpoint and die. A checkpoint first
+// would keep answering long-polls for as long as its fsync takes.
 func (n *fleetNode) kill(t *testing.T) {
 	t.Helper()
+	n.hs.Close()
 	if err := n.srv.Persist(); err != nil {
 		t.Logf("%s: persist before kill: %v", n.name, err)
 	}
-	n.hs.Close()
 	n.srv.Kill()
 }
 

@@ -11,6 +11,8 @@ import (
 	"os"
 	"strconv"
 	"sync"
+
+	"repro/internal/jsondec"
 )
 
 // The record log. Every byte asfd persists or replicates is a
@@ -129,7 +131,7 @@ func parseFrame(line []byte) (rec journalRecord, err error) {
 	if len(line) > 9 && line[8] == ' ' {
 		if crc, perr := strconv.ParseUint(string(line[:8]), 16, 32); perr == nil {
 			payload := line[9:]
-			if crc32.ChecksumIEEE(payload) != uint32(crc) || json.Unmarshal(payload, &rec) != nil {
+			if crc32.ChecksumIEEE(payload) != uint32(crc) || jsondec.Unmarshal(payload, &rec) != nil {
 				return journalRecord{}, errFrame
 			}
 			if rec.Schema != journalSchemaVersion || (rec.Op == opCheckpoint && rec.KeySchema != keySchemaVersion) {
