@@ -2,92 +2,10 @@ package asfsim_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	asfsim "repro"
 )
-
-// detectionByName resolves a Detection from its CLI name.
-func detectionByName(t *testing.T, name string) asfsim.Detection {
-	t.Helper()
-	for _, d := range asfsim.AllDetections {
-		if d.String() == name {
-			return d
-		}
-	}
-	t.Fatalf("unknown detection %q", name)
-	return 0
-}
-
-// goldenRun pins the pre-robustness-subsystem result of one (workload,
-// detection, seed) combination at ScaleSmall: these eight fields were
-// captured on the commit before the fault/retry/watchdog subsystem landed
-// and verified bit-identical after it. They freeze the acceptance
-// contract — with all fault rates zero, the exponential retry policy and
-// a passive watchdog, the subsystem must be invisible in every cycle and
-// every counter.
-type goldenRun struct {
-	workload  string
-	detection string
-	seed      uint64
-
-	cycles, cyclesInTx, cyclesInBackoff int64
-	txStarted, txCommitted, txAborted   uint64
-	retries, fallbacks                  uint64
-}
-
-var goldenRuns = []goldenRun{
-	{"kmeans", "baseline", 1, 3131539, 3274857, 12013991, 18798, 9600, 9198, 9198, 0},
-	{"kmeans", "subblock-4", 1, 2630384, 3315966, 9309817, 17806, 9600, 8206, 8206, 0},
-	{"vacation", "baseline", 2, 213707, 1262295, 144990, 1737, 960, 777, 777, 0},
-	{"intruder", "subblock-8", 3, 154951, 248730, 579040, 1476, 1032, 444, 444, 0},
-	{"ssca2", "signature", 1, 88759, 526785, 19225, 3433, 3200, 233, 233, 0},
-	{"labyrinth", "waronly", 1, 24081, 16755, 2110, 75, 51, 24, 17, 0},
-	{"genome", "subblock-16", 5, 213064, 859291, 469570, 6116, 4800, 1316, 1316, 0},
-	{"scalparc", "baseline", 2, 93767, 322482, 94036, 4057, 3200, 857, 857, 0},
-	{"apriori", "subblock-2", 1, 139180, 771063, 45866, 2486, 2000, 486, 486, 0},
-}
-
-// TestNeutralRobustnessIsBitIdentical engages every robustness knob in its
-// neutral position — explicit zero fault rates, the explicit Exponential
-// retry policy, a passive watchdog window — and requires the pre-subsystem
-// golden results bit-for-bit. Any drift means the subsystem perturbed a
-// run it was configured to stay out of.
-func TestNeutralRobustnessIsBitIdentical(t *testing.T) {
-	runs := goldenRuns
-	if testing.Short() {
-		runs = runs[2:6] // skip the two slowest (kmeans) combos
-	}
-	for _, g := range runs {
-		g := g
-		t.Run(fmt.Sprintf("%s-%s-seed%d", g.workload, g.detection, g.seed), func(t *testing.T) {
-			cfg := asfsim.DefaultConfig()
-			cfg.Detection = detectionByName(t, g.detection)
-			cfg.Seed = g.seed
-			cfg.Fault = asfsim.FaultConfig{}                              // explicitly zero
-			cfg.Retry = asfsim.RetryConfig{Kind: asfsim.RetryExponential} // explicit default policy
-			cfg.Watchdog = asfsim.WatchdogConfig{Window: 100_000}         // observing, never mitigating
-			r, err := asfsim.Run(g.workload, asfsim.ScaleSmall, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := goldenRun{
-				workload: g.workload, detection: g.detection, seed: g.seed,
-				cycles: r.Cycles, cyclesInTx: r.CyclesInTx, cyclesInBackoff: r.CyclesInBackoff,
-				txStarted: r.TxStarted, txCommitted: r.TxCommitted, txAborted: r.TxAborted,
-				retries: r.Retries, fallbacks: r.Fallbacks,
-			}
-			if got != g {
-				t.Errorf("neutral robustness config drifted from golden:\n got %+v\nwant %+v", got, g)
-			}
-			if r.SpuriousAborts != 0 || r.FallbacksEarly != 0 || r.WatchdogBoosts != 0 {
-				t.Errorf("neutral config produced robustness activity: spurious=%d early=%d boosts=%d",
-					r.SpuriousAborts, r.FallbacksEarly, r.WatchdogBoosts)
-			}
-		})
-	}
-}
 
 // TestExactlyOnceUnderFaultsAcrossDetections is the cross-detection
 // invariant sweep: every paper workload, every detection system, with

@@ -3,109 +3,37 @@ package client
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	asfsim "repro"
 	"repro/internal/harness"
 	"repro/internal/service"
 	"repro/internal/stats"
-	"repro/internal/workloads"
 )
 
 // CollectMatrix is harness.Collect evaluated against a daemon instead
-// of in-process: the same (workload, detection, seed) fan-out, the same
-// deterministic slot assignment, the same Matrix out — so paperfigs
-// renders identical figures whether the cells ran locally or were
-// served (possibly from cache) by asfd. opts.Parallelism bounds the
-// cells in flight on the client side; the daemon applies its own worker
-// pool and backpressure on top. Failed cells are retried and
-// resubmitted by RunCell's resilience loop; the first error in matrix
-// order wins, matching harness.Collect's reporting.
+// of in-process: it is the same collector (harness.CollectWith), with
+// each cell run by RunCell, so paperfigs renders identical figures
+// whether the cells ran locally or were served (possibly from cache) by
+// asfd. opts.Parallelism bounds the cells in flight on the client side,
+// 4 when it is 0; the daemon applies its own worker pool and
+// backpressure on top. Failed cells are retried and resubmitted by
+// RunCell's resilience loop; the first error in matrix order wins and
+// names its cell.
 func (c *Client) CollectMatrix(ctx context.Context, opts harness.Options, detections []asfsim.Detection) (*harness.Matrix, error) {
-	if len(opts.Seeds) == 0 {
-		opts.Seeds = []uint64{1}
+	if opts.Parallelism <= 0 {
+		opts.Parallelism = 4
 	}
-	if opts.Cores == 0 {
-		opts.Cores = 8
-	}
-	if len(opts.Workloads) == 0 {
-		opts.Workloads = workloads.Names()
-	}
-	if len(detections) == 0 {
-		detections = asfsim.Detections
-	}
-
-	m := &harness.Matrix{Opts: opts, Cells: make(map[string]map[asfsim.Detection]*harness.Cell)}
-	type job struct {
-		wl   string
-		det  asfsim.Detection
-		cell *harness.Cell
-		si   int
-	}
-	var jobs []job
-	for _, wl := range opts.Workloads {
-		m.Cells[wl] = make(map[asfsim.Detection]*harness.Cell, len(detections))
-		for _, d := range detections {
-			cell := &harness.Cell{Runs: make([]*stats.Run, len(opts.Seeds))}
-			m.Cells[wl][d] = cell
-			for si := range opts.Seeds {
-				jobs = append(jobs, job{wl, d, cell, si})
-			}
-		}
-	}
-
-	runJob := func(j job) error {
+	return harness.CollectWith(opts, detections, func(s harness.CellSpec) (*stats.Run, error) {
 		rec, err := c.RunCell(ctx, service.JobRequest{
-			Workload:  j.wl,
-			Detection: j.det.String(),
-			Scale:     opts.Scale.String(),
-			Seed:      opts.Seeds[j.si],
-			Cores:     opts.Cores,
+			Workload:  s.Workload,
+			Detection: s.Detection.String(),
+			Scale:     s.Scale.String(),
+			Seed:      s.Seed,
+			Cores:     s.Cores,
 		})
 		if err != nil {
-			return fmt.Errorf("client: %s/%v/seed %d: %w", j.wl, j.det, opts.Seeds[j.si], err)
+			return nil, fmt.Errorf("client: %s/%v/seed %d: %w", s.Workload, s.Detection, s.Seed, err)
 		}
-		j.cell.Runs[j.si] = rec.Run()
-		return nil
-	}
-
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = 4
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			if err := runJob(j); err != nil {
-				return nil, err
-			}
-		}
-		return m, nil
-	}
-
-	errs := make([]error, len(jobs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ji := range idx {
-				errs[ji] = runJob(jobs[ji])
-			}
-		}()
-	}
-	for ji := range jobs {
-		idx <- ji
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
+		return rec.Run(), nil
+	})
 }

@@ -44,7 +44,8 @@
 // and a bad one is quarantined alone. Disk-write failures degrade the
 // daemon to memory-only operation (visible on /healthz) instead of
 // crashing it. -replicate-from streams the same records to a warm
-// standby.
+// standby, which takes over on POST /v1/replication/promote or, once
+// its own process has died, by a plain restart on its own -journal.
 package main
 
 import (
@@ -76,9 +77,7 @@ func main() {
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive failures of one cell before resubmissions get 422 (0 = default 3, negative disables)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-clock cap (0 = unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "shutdown drain budget before in-flight jobs are canceled")
-	admissionTarget := flag.Duration("admission-target", 0, "adaptive admission control: target submit-to-done latency; the concurrency limit shrinks when observed latency exceeds it (0 = disabled)")
-	admissionMin := flag.Int("admission-min-limit", 0, "floor for the adaptive admission limit (0 = worker count); needs -admission-target")
-	admissionMax := flag.Int("admission-max-limit", 0, "ceiling for the adaptive admission limit (0 = workers+queue); needs -admission-target")
+	admissionTarget := flag.Duration("admission-target", 0, "adaptive admission control: target submit-to-done latency; the concurrency limit, kept within [workers, workers+queue], shrinks when observed latency exceeds it (0 = disabled)")
 	traceCapacity := flag.Int("trace-capacity", 4096, "span trace ring capacity (0 disables tracing and the /v1/traces endpoints)")
 	historyInterval := flag.Duration("history-interval", time.Second, "gauge history sampling interval for /v1/metrics/history (0 disables)")
 	historyCapacity := flag.Int("history-capacity", 900, "gauge history ring capacity (points retained)")
@@ -87,7 +86,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof (empty disables)")
 	replicateFrom := flag.String("replicate-from", "", "primary base URL to follow as a warm standby (boots without workers; promote via POST /v1/replication/promote)")
 	replicationLagMax := flag.Int("replication-lag-max", 0, "/healthz reports \"lagging\" when the follower is more than this many records behind (0 disables)")
-	promoteOnStart := flag.Bool("promote-on-start", false, "boot as a standby (replaying the local journal or snapshot) and immediately promote to serving primary")
 	scrubInterval := flag.Duration("scrub-interval", 0, "background integrity scrub pass interval (0 disables the scrubber and the serve-path digest guard)")
 	auditSampleRate := flag.Float64("audit-sample-rate", 0, "fraction of scanned entries fully re-executed per scrub pass, 0..1 (rotates deterministically across passes)")
 	auditSeed := flag.Uint64("audit-seed", 0, "seed for the deterministic scrub walk order and re-execution sample (0 = default 1; pin for reproducible audits)")
@@ -106,10 +104,8 @@ func main() {
 	logger := obs.NewLogger(os.Stderr, level, *logText, nil)
 	tracer := obs.NewTracer(*traceCapacity, nil)
 
-	// A daemon started with -replicate-from or -promote-on-start boots as
-	// a warm standby: no worker pool, submissions refused until promoted.
-	following := *replicateFrom != "" || *promoteOnStart
-
+	// A daemon started with -replicate-from boots as a warm standby: no
+	// worker pool, submissions refused until promoted.
 	srv, err := service.New(service.Config{
 		Workers:           *workers,
 		QueueDepth:        *queueDepth,
@@ -120,13 +116,11 @@ func main() {
 		BreakerThreshold:  *breakerThreshold,
 		JobTimeout:        *jobTimeout,
 		AdmissionTarget:   *admissionTarget,
-		AdmissionMinLimit: *admissionMin,
-		AdmissionMaxLimit: *admissionMax,
 		Tracer:            tracer,
 		Logger:            logger,
 		HistoryInterval:   *historyInterval,
 		HistoryCapacity:   *historyCapacity,
-		Following:         following,
+		Following:         *replicateFrom != "",
 		ReplicationLagMax: *replicationLagMax,
 		ScrubInterval:     *scrubInterval,
 		AuditSampleRate:   *auditSampleRate,
@@ -145,19 +139,7 @@ func main() {
 	}
 
 	var follower *replica.Follower
-	switch {
-	case *promoteOnStart:
-		// Take over from a dead primary using whatever the local journal
-		// preserved: settled keys serve from the cache,
-		// expired pending jobs are shed, the rest re-enqueue.
-		st, perr := srv.Promote()
-		if perr != nil {
-			fmt.Fprintf(os.Stderr, "asfd: promote on start: %v\n", perr)
-			os.Exit(1)
-		}
-		logger.Info("promoted on start",
-			"fromCache", st.FromCache, "reenqueued", st.Reenqueued, "shed", st.Shed)
-	case *replicateFrom != "":
+	if *replicateFrom != "" {
 		follower, err = replica.Start(replica.Config{
 			PrimaryURL: *replicateFrom,
 			Server:     srv,

@@ -40,7 +40,7 @@ func main() {
 		seeds    = flag.Int("seeds", 3, "seeds per configuration (results averaged)")
 		cores    = flag.Int("cores", 8, "simulated cores")
 		wls      = flag.String("workloads", "", "comma-separated workload subset (default: all)")
-		parallel = flag.Int("parallel", 0, "matrix cells simulated concurrently (0 = GOMAXPROCS, 1 = serial); output is identical either way")
+		parallel = flag.Int("parallel", 0, "matrix cells run concurrently (0 = GOMAXPROCS, or 4 cells in flight with -server; 1 = serial); output is identical either way")
 		server   = flag.String("server", "", "collect the matrix from an asfd daemon (one base URL) or fleet (comma-separated URLs; cells are routed by content so repeat runs hit the same cache) instead of simulating in-process")
 	)
 	flag.Parse()

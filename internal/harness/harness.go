@@ -1,7 +1,8 @@
 // Package harness runs the paper's experiment matrix — every workload ×
 // every detection system × several seeds — and renders each table and
-// figure of the evaluation as text. cmd/paperfigs, cmd/asftrace and the
-// root benchmark suite are thin wrappers around it.
+// figure of the evaluation as text. cmd/paperfigs, cmd/asftrace, the
+// root benchmark suite and client.CollectMatrix are thin wrappers around
+// it.
 package harness
 
 import (
@@ -25,11 +26,11 @@ type Options struct {
 	Cores     int
 	Workloads []string // nil = all, Table III order
 
-	// Parallelism is the number of matrix cells simulated concurrently.
-	// 0 means GOMAXPROCS, 1 means strictly serial. Every (workload,
-	// detection, seed) run is an independent, fully seeded simulation, so
-	// the collected matrix is bit-identical at any parallelism level —
-	// TestParallelMatchesSerial holds the harness to that.
+	// Parallelism is the number of matrix cells run concurrently: 0
+	// means GOMAXPROCS (4 in client.CollectMatrix), 1 strictly serial.
+	// Every (workload, detection, seed) run is an independent, fully
+	// seeded simulation, so the collected matrix is bit-identical at any
+	// parallelism level — TestParallelMatchesSerial holds that.
 	Parallelism int
 }
 
@@ -132,25 +133,31 @@ type Matrix struct {
 	Cells map[string]map[asfsim.Detection]*Cell
 }
 
-// Collect runs the matrix, fanning the (workload, detection, seed) cells
-// across opts.Parallelism worker goroutines. Every run is an independent,
-// deterministic simulation (own Machine, own seeded RNG), and each lands
-// in a preassigned slot of its cell's Runs slice, so the matrix is
-// bit-identical to a serial collection regardless of scheduling. On
-// failure the error reported is the one belonging to the earliest cell in
-// matrix order, again independent of scheduling. Detections lists which
-// systems to run; nil means all of them.
+// Collect runs the matrix in-process: CollectWith with RunCell as the
+// way one cell runs. Detections lists which systems to run; nil means
+// all of them.
 func Collect(opts Options, detections []asfsim.Detection) (*Matrix, error) {
+	return CollectWith(opts, detections, func(s CellSpec) (*stats.Run, error) { return RunCell(s, nil) })
+}
+
+// CollectWith is the one matrix collector, shared by Collect (cells run
+// in-process) and client.CollectMatrix (cells served by asfd). It runs
+// every (workload, detection, seed) cell through run, across
+// opts.Parallelism worker goroutines. Every run is an independent,
+// deterministic simulation, and each lands in a preassigned slot of its
+// cell's Runs slice, so the matrix is bit-identical to a serial
+// collection regardless of scheduling. On failure the error reported is
+// the one belonging to the earliest cell in matrix order, again
+// independent of scheduling.
+func CollectWith(opts Options, detections []asfsim.Detection, run func(CellSpec) (*stats.Run, error)) (*Matrix, error) {
 	opts.normalize()
 	if len(detections) == 0 {
 		detections = asfsim.Detections
 	}
 	m := &Matrix{Opts: opts, Cells: make(map[string]map[asfsim.Detection]*Cell)}
 	type job struct {
-		wl   string
-		det  asfsim.Detection
-		cell *Cell
-		si   int // seed index = slot in cell.Runs
+		spec CellSpec
+		slot **stats.Run
 	}
 	var jobs []job
 	for _, wl := range opts.Workloads {
@@ -158,63 +165,63 @@ func Collect(opts Options, detections []asfsim.Detection) (*Matrix, error) {
 		for _, d := range detections {
 			cell := &Cell{Runs: make([]*stats.Run, len(opts.Seeds))}
 			m.Cells[wl][d] = cell
-			for si := range opts.Seeds {
-				jobs = append(jobs, job{wl, d, cell, si})
+			for si, seed := range opts.Seeds {
+				spec := CellSpec{Workload: wl, Detection: d, Scale: opts.Scale, Seed: seed, Cores: opts.Cores}
+				jobs = append(jobs, job{spec, &cell.Runs[si]})
 			}
 		}
 	}
-	runJob := func(j job) error {
-		seed := opts.Seeds[j.si]
-		cfg := asfsim.DefaultConfig()
-		cfg.Detection = j.det
-		cfg.Cores = opts.Cores
-		cfg.Seed = seed
-		r, err := asfsim.Run(j.wl, opts.Scale, cfg)
-		if err != nil {
-			return fmt.Errorf("harness: %s/%v/seed %d: %w", j.wl, j.det, seed, err)
-		}
-		j.cell.Runs[j.si] = r
-		return nil
+	err := forEach(len(jobs), opts.Parallelism, func(i int) (err error) {
+		*jobs[i].slot, err = run(jobs[i].spec)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
+	return m, nil
+}
 
-	workers := opts.Parallelism
+// forEach calls do(i) for every i in [0, n) on up to workers goroutines
+// (0 = GOMAXPROCS). At one worker or fewer the calls run serially, in
+// order, and stop at the first error. Each call writes only its own
+// index's slots, so no locking is needed beyond the channel, and the
+// error returned is the one of the smallest failing index whatever the
+// scheduling.
+func forEach(n, workers int, do func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers <= 1 || len(jobs) <= 1 {
-		for _, j := range jobs {
-			if err := runJob(j); err != nil {
-				return nil, err
+	if workers = min(workers, n); workers <= 1 {
+		for i := range n {
+			if err := do(i); err != nil {
+				return err
 			}
 		}
-		return m, nil
+		return nil
 	}
-
-	// Worker pool. Each worker writes only its job's preassigned Runs slot
-	// and error slot, so no locking is needed beyond the channel.
-	errs := make([]error, len(jobs))
+	errs := make([]error, n)
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ji := range idx {
-				errs[ji] = runJob(jobs[ji])
+			for i := range idx {
+				errs[i] = do(i)
 			}
 		}()
 	}
-	for ji := range jobs {
-		idx <- ji
+	for i := range n {
+		idx <- i
 	}
 	close(idx)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return m, nil
+	return nil
 }
 
 // Cell returns the cell for (workload, detection), nil if absent.
@@ -500,42 +507,19 @@ func Trace(wl string, scale workloads.Scale, seed uint64, cores int) (*stats.Run
 
 // CollectTraces runs Trace for each named workload, up to parallelism at
 // a time (0 = GOMAXPROCS, 1 = serial), and returns the runs in input
-// order. Like Collect, every run is independent and deterministic, so the
-// result does not depend on the parallelism level; an error is reported
-// for the earliest failing workload.
+// order. It shares Collect's pool, so the result does not depend on the
+// parallelism level and an error is reported for the earliest failing
+// workload.
 func CollectTraces(names []string, scale workloads.Scale, seed uint64, cores, parallelism int) ([]*stats.Run, error) {
 	runs := make([]*stats.Run, len(names))
-	errs := make([]error, len(names))
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(names) {
-		workers = len(names)
-	}
-	if workers <= 1 {
-		workers = 1
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				runs[i], errs[i] = Trace(names[i], scale, seed, cores)
-			}
-		}()
-	}
-	for i := range names {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", names[i], err)
+	err := forEach(len(names), parallelism, func(i int) (err error) {
+		if runs[i], err = Trace(names[i], scale, seed, cores); err != nil {
+			return fmt.Errorf("%s: %w", names[i], err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return runs, nil
 }

@@ -77,10 +77,10 @@ func TestParsePriority(t *testing.T) {
 }
 
 // TestAdmissionOverloadShed drives a gated single-worker daemon to its
-// admission limit and asserts the shed order: batch first (at 75% of
-// the limit), then interactive, both as 429 with ErrOverloaded, the
-// shedOverload counter, a Retry-After header, and the structured error
-// envelope.
+// admission limit (ceiling workers+queue = 4) and asserts the shed
+// order: batch first (at 75% of the limit), then interactive, both as
+// 429 with ErrOverloaded, the shedOverload counter, a Retry-After
+// header, and the structured error envelope.
 func TestAdmissionOverloadShed(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
@@ -88,12 +88,10 @@ func TestAdmissionOverloadShed(t *testing.T) {
 	defer release()
 
 	s, ts := newTestServer(t, Config{
-		Workers:           1,
-		QueueDepth:        16,
-		AdmissionTarget:   time.Millisecond,
-		AdmissionMinLimit: 1,
-		AdmissionMaxLimit: 4,
-		BeforeRun:         func(harness.CellSpec) { <-gate },
+		Workers:         1,
+		QueueDepth:      3,
+		AdmissionTarget: time.Millisecond,
+		BeforeRun:       func(harness.CellSpec) { <-gate },
 	})
 
 	// Fill the system to 3 jobs (1 running + 2 queued), all interactive.
@@ -149,13 +147,13 @@ func TestAdmissionOverloadShed(t *testing.T) {
 }
 
 // TestAdmissionLimitAdapts proves the end-to-end AIMD loop: completions
-// slower than the target pull the live limit down from its ceiling.
+// slower than the target pull the live limit down from its ceiling
+// (workers+queue = 100).
 func TestAdmissionLimitAdapts(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		Workers:           2,
-		AdmissionTarget:   time.Nanosecond, // every real completion is "too slow"
-		AdmissionMinLimit: 1,
-		AdmissionMaxLimit: 100,
+		Workers:         2,
+		QueueDepth:      98,
+		AdmissionTarget: time.Nanosecond, // every real completion is "too slow"
 	})
 	for seed := 1; seed <= 4; seed++ {
 		_, sr := postJob(t, ts, fmt.Sprintf(

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -81,26 +82,32 @@ func TestErrorShapes(t *testing.T) {
 	defer release()
 
 	poison := harness.CellSpec{Workload: "kmeans", Scale: workloads.ScaleTiny, Seed: 777}
+	beforeRun := func(spec harness.CellSpec) {
+		if spec.Seed == poison.Seed {
+			panic("errorshape: deliberate failure")
+		}
+		<-gate
+	}
+	// No admission controller here: its ceiling is workers+queue, so
+	// while it is armed the static queue bound is never the one hit.
 	s, ts := newTestServer(t, Config{
 		Workers:          1,
 		QueueDepth:       2,
 		BreakerThreshold: 1,
-		AdmissionTarget:  time.Millisecond,
-		// Limit 4: at 3 in-system (1 running + 2 queued), interactive is
-		// still admitted — and hits the static queue bound (the
-		// worker-pool overflow 429) — while batch (fraction 3) is shed by
-		// the admission controller (the adaptive 429).
-		AdmissionMinLimit: 4,
-		AdmissionMaxLimit: 4,
-		BeforeRun: func(spec harness.CellSpec) {
-			if spec.Seed == poison.Seed {
-				panic("errorshape: deliberate failure")
-			}
-			<-gate
-		},
+		BeforeRun:        beforeRun,
 	})
 	cell := func(seed int) string {
 		return fmt.Sprintf(`{"workload":"kmeans","detection":"baseline","scale":"tiny","seed":%d}`, seed)
+	}
+	fill := func(s *Server, ts *httptest.Server, jobs int) {
+		for seed := 1; seed <= jobs; seed++ {
+			resp := post(t, ts.URL+"/v1/jobs", cell(seed), nil)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("setup seed %d: status %d", seed, resp.StatusCode)
+			}
+		}
+		waitFor(t, func() bool { return s.Running() == 1 && s.QueueDepth() == jobs-1 })
 	}
 
 	// Trip the per-key breaker first, while the worker is still free.
@@ -115,23 +122,24 @@ func TestErrorShapes(t *testing.T) {
 		`{"workload":"kmeans","detection":"baseline","scale":"tiny","seed":777}`, nil))
 
 	// Occupy the worker and fill the 2-deep queue.
-	for seed := 1; seed <= 3; seed++ {
-		resp := post(t, ts.URL+"/v1/jobs", cell(seed), nil)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("setup seed %d: status %d", seed, resp.StatusCode)
-		}
-	}
-	waitFor(t, func() bool { return s.Running() == 1 && s.QueueDepth() == 2 })
+	fill(s, ts, 3)
 
 	// 429 (queue full): the worker-pool overflow path.
 	if msg := checkErrorShape(t, "429 queue full", post(t, ts.URL+"/v1/jobs", cell(3), nil)); !strings.Contains(msg, "queue full") {
 		t.Fatalf("queue-full 429 error = %q, want a queue-full message", msg)
 	}
 
-	// 429 (admission shed): batch priority is refused by the adaptive
-	// controller before the static bound is even consulted.
-	if msg := checkErrorShape(t, "429 admission shed", post(t, ts.URL+"/v1/jobs", cell(4),
+	// 429 (admission shed): on an armed daemon (limit at most
+	// workers+queue = 2), batch priority is refused at 2 in-system by the
+	// adaptive controller before the static bound is even consulted.
+	armed, armedTS := newTestServer(t, Config{
+		Workers:         1,
+		QueueDepth:      1,
+		AdmissionTarget: time.Millisecond,
+		BeforeRun:       beforeRun,
+	})
+	fill(armed, armedTS, 2)
+	if msg := checkErrorShape(t, "429 admission shed", post(t, armedTS.URL+"/v1/jobs", cell(4),
 		map[string]string{"X-ASF-Priority": "batch"})); !strings.Contains(msg, "overloaded") {
 		t.Fatalf("admission-shed 429 error = %q, want an overload message", msg)
 	}

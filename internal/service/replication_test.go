@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -654,10 +655,11 @@ func TestFollowerRejectsSubmissions(t *testing.T) {
 	}
 }
 
-// TestPromotionDisposesPendingCorrectly is the promotion contract in one
-// scene: settled keys complete from replicated bytes (zero duplicate
-// cycles), deadline-expired pending jobs are shed without ever
-// executing, and live pending jobs re-enqueue and run to completion.
+// TestPromotionDisposesPendingCorrectly is the takeover contract in one
+// scene, by promotion and by a plain boot on the standby's journal:
+// settled keys complete from replicated bytes (zero duplicate cycles),
+// deadline-expired pending jobs are shed without ever executing, and
+// live pending jobs re-enqueue and run to completion.
 func TestPromotionDisposesPendingCorrectly(t *testing.T) {
 	// Build the replicated history by hand via a primary-side log, so the
 	// lines carry real CRCs.
@@ -697,80 +699,106 @@ func TestPromotionDisposesPendingCorrectly(t *testing.T) {
 	log.append(journalRecord{Op: opSubmitted, ID: "job-000103", Key: Key(cellSpec(t, cell3)), Cell: &cell3})
 
 	lines, first, next, _ := log.fetch(1, 100)
-	follower, followerTS := newTestServer(t, Config{Workers: 2, Following: true})
-	if _, err := follower.ApplyReplicatedBatch(bytes.NewReader(batchBody(t, first, next, lines))); err != nil {
-		t.Fatal(err)
-	}
 
-	st, err := follower.Promote()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.FromCache != 1 || st.Shed != 1 || st.Reenqueued != 1 {
-		t.Fatalf("promote stats = %+v, want 1/1/1", st)
-	}
-	if follower.Following() {
-		t.Fatal("still following after Promote")
-	}
+	// Two ways to take over: Promote on the live standby, or, once the
+	// standby's process is gone, a plain primary boot on its journal.
+	// Replay re-enqueues the pending jobs and runJob disposes of them at
+	// dequeue the same way (it checks the deadline first, so an expired
+	// job on a cached key would end canceled there, not done).
+	for _, takeover := range []string{"promote", "boot-on-journal"} {
+		t.Run(takeover, func(t *testing.T) {
+			gate := make(chan struct{})
+			var once sync.Once
+			release := func() { once.Do(func() { close(gate) }) }
+			defer release()
+			cfg := Config{Workers: 2, Following: true, JournalPath: filepath.Join(t.TempDir(), "journal.wal"),
+				BeforeRun: func(harness.CellSpec) { <-gate }}
+			follower, followerTS := newTestServer(t, cfg)
+			if _, err := follower.ApplyReplicatedBatch(bytes.NewReader(batchBody(t, first, next, lines))); err != nil {
+				t.Fatal(err)
+			}
 
-	// fromCache job: done, byte-identical to the primary's result, and
-	// the promoted node simulated nothing for it.
-	code, v := getJob(t, followerTS, "job-000101")
-	if code != http.StatusOK || v.State != JobDone || !v.CacheHit {
-		t.Fatalf("fromCache job: %d %s cacheHit=%v", code, v.State, v.CacheHit)
-	}
-	if !bytes.Equal(v.Result, entry.Result) {
-		t.Fatal("fromCache result differs from replicated bytes")
-	}
+			if takeover == "promote" {
+				st, err := follower.Promote()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.FromCache != 1 || st.Shed != 1 || st.Reenqueued != 1 {
+					t.Fatalf("promote stats = %+v, want 1/1/1", st)
+				}
+			} else {
+				follower.Kill()
+				cfg.Following = false
+				follower, followerTS = newTestServer(t, cfg)
+			}
+			if follower.Following() {
+				t.Fatal("still following after the takeover")
+			}
 
-	// Shed job: canceled without execution (satellite: deadline-expired
-	// replicated jobs must be shed, not run).
-	_, v = getJob(t, followerTS, "job-000102")
-	if v.State != JobCanceled {
-		t.Fatalf("expired pending job ended %s, want canceled", v.State)
-	}
+			// fromCache job: done, byte-identical to the primary's result,
+			// and the new primary simulated nothing for it.
+			v := waitDone(t, followerTS, "job-000101")
+			if v.State != JobDone || !v.CacheHit {
+				t.Fatalf("fromCache job: %s cacheHit=%v", v.State, v.CacheHit)
+			}
+			if !bytes.Equal(v.Result, entry.Result) {
+				t.Fatal("fromCache result differs from replicated bytes")
+			}
 
-	// Re-enqueued job runs to completion on the promoted node.
-	v = waitDone(t, followerTS, "job-000103")
-	if v.State != JobDone {
-		t.Fatalf("re-enqueued job ended %s (%s)", v.State, v.Error)
-	}
+			// Shed job: canceled without execution (deadline-expired
+			// replicated jobs must be shed, not run).
+			if v = waitDone(t, followerTS, "job-000102"); v.State != JobCanceled {
+				t.Fatalf("expired pending job ended %s, want canceled", v.State)
+			}
+			// The live job is held before its simulation starts, so every
+			// cycle so far would belong to the settled or the shed job.
+			if n := follower.Metrics().SimCyclesExecuted(); n != 0 {
+				t.Fatalf("takeover simulated %d cycles for settled and shed jobs, want 0", n)
+			}
 
-	m := getMetrics(t, followerTS)
-	if m.Promotions != 1 || m.PromotedFromCache != 1 || m.PromotedShed != 1 || m.PromotedReenqueued != 1 {
-		t.Fatalf("promotion counters: %+v", m)
-	}
-	if m.ShedExpired == 0 {
-		t.Fatal("shed job not counted as shedExpired")
-	}
-	// Exactly one execution: the re-enqueued job. The settled key cost
-	// zero additional cycles.
-	if m.RunsExecuted != 1 {
-		t.Fatalf("promoted node executed %d runs, want 1", m.RunsExecuted)
-	}
-	if m.Role != "primary" {
-		t.Fatalf("promoted node role = %q", m.Role)
-	}
+			// Re-enqueued job runs to completion on the new primary.
+			release()
+			v = waitDone(t, followerTS, "job-000103")
+			if v.State != JobDone {
+				t.Fatalf("re-enqueued job ended %s (%s)", v.State, v.Error)
+			}
 
-	// The promoted node accepts fresh submissions, and its IDs do not
-	// collide with replicated ones.
-	_, sr2 := postJob(t, followerTS, `{"workload":"kmeans","detection":"subblock-4","scale":"tiny","seed":9}`)
-	if len(sr2.Jobs) != 1 {
-		t.Fatalf("post-promotion submission rejected: %+v", sr2)
-	}
-	if sr2.Jobs[0].ID <= "job-000103" {
-		t.Fatalf("post-promotion ID %s collides with replicated range", sr2.Jobs[0].ID)
-	}
-	waitDone(t, followerTS, sr2.Jobs[0].ID)
+			m := getMetrics(t, followerTS)
+			if takeover == "promote" && (m.Promotions != 1 || m.PromotedFromCache != 1 || m.PromotedShed != 1 || m.PromotedReenqueued != 1) {
+				t.Fatalf("promotion counters: %+v", m)
+			}
+			if m.ShedExpired == 0 {
+				t.Fatal("shed job not counted as shedExpired")
+			}
+			// Exactly one execution: the re-enqueued job.
+			if m.RunsExecuted != 1 {
+				t.Fatalf("new primary executed %d runs, want 1", m.RunsExecuted)
+			}
+			if m.Role != "primary" {
+				t.Fatalf("new primary's role = %q", m.Role)
+			}
 
-	// Promoting twice — or promoting a primary — is a 409.
-	resp, err := http.Post(followerTS.URL+"/v1/replication/promote", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("second promote: status %d, want 409", resp.StatusCode)
+			// The new primary accepts fresh submissions, and its IDs do
+			// not collide with replicated ones.
+			_, sr2 := postJob(t, followerTS, `{"workload":"kmeans","detection":"subblock-4","scale":"tiny","seed":9}`)
+			if len(sr2.Jobs) != 1 {
+				t.Fatalf("post-takeover submission rejected: %+v", sr2)
+			}
+			if sr2.Jobs[0].ID <= "job-000103" {
+				t.Fatalf("post-takeover ID %s collides with replicated range", sr2.Jobs[0].ID)
+			}
+			waitDone(t, followerTS, sr2.Jobs[0].ID)
+
+			// Promoting twice — or promoting a primary — is a 409.
+			resp, err := http.Post(followerTS.URL+"/v1/replication/promote", "application/json", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusConflict {
+				t.Fatalf("promote after takeover: status %d, want 409", resp.StatusCode)
+			}
+		})
 	}
 }
 

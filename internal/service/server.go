@@ -74,15 +74,10 @@ type Config struct {
 	// target and backed off multiplicatively when it exceeds it.
 	// Submissions past the limit are shed with ErrOverloaded (HTTP 429,
 	// with a Retry-After hint); batch-priority jobs are shed first, at a
-	// fraction of the limit. Zero (the default) disables the controller —
+	// fraction of the limit. The limit stays within [Workers,
+	// Workers+QueueDepth]. Zero (the default) disables the controller —
 	// only the static QueueDepth backpressure applies.
 	AdmissionTarget time.Duration
-
-	// AdmissionMinLimit / AdmissionMaxLimit clamp the adaptive limit
-	// (defaults: Workers and Workers+QueueDepth). Only consulted when
-	// AdmissionTarget is set.
-	AdmissionMinLimit int
-	AdmissionMaxLimit int
 
 	// JobRetention bounds the completed-job table (default
 	// CacheEntries). Oldest finished jobs are forgotten first; queued and
@@ -181,12 +176,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 3
-	}
-	if c.AdmissionMinLimit <= 0 {
-		c.AdmissionMinLimit = c.Workers
-	}
-	if c.AdmissionMaxLimit <= 0 {
-		c.AdmissionMaxLimit = c.Workers + c.QueueDepth
 	}
 	if c.FS == nil {
 		c.FS = OSFS{}
@@ -435,7 +424,7 @@ func New(cfg Config) (*Server, error) {
 		cache:        NewCache(cfg.CacheEntries),
 		metrics:      NewMetrics(),
 		breaker:      newBreaker(cfg.BreakerThreshold),
-		adm:          newAdmission(cfg.AdmissionTarget, cfg.AdmissionMinLimit, cfg.AdmissionMaxLimit),
+		adm:          newAdmission(cfg.AdmissionTarget, cfg.Workers, cfg.Workers+cfg.QueueDepth),
 		tracer:       cfg.Tracer,
 		logger:       cfg.Logger,
 		start:        time.Now(),

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/mem"
@@ -82,39 +83,22 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
-// lPath returns the L-shaped path from (sx,sy) to (dx,dy): horizontal
-// first when bend is even, vertical first otherwise. A stand-in for Lee's
-// expansion that still makes distinct routes cross shared cells.
-func lPath(sx, sy, dx, dy, bend int) [][2]int {
-	var p [][2]int
-	x, y := sx, sy
-	p = append(p, [2]int{x, y})
-	stepX := func() {
-		for x != dx {
-			if dx > x {
-				x++
-			} else {
-				x--
-			}
-			p = append(p, [2]int{x, y})
-		}
+// lPath overwrites p with the L-shaped path from (sx,sy) to (dx,dy):
+// horizontal first when bend is even, vertical first otherwise. A
+// stand-in for Lee's expansion that still makes distinct routes cross
+// shared cells. Reusing p keeps a route attempt allocation-free.
+func lPath(p [][2]int, sx, sy, dx, dy, bend int) [][2]int {
+	corner := [2]int{dx, sy}
+	if bend%2 != 0 {
+		corner = [2]int{sx, dy}
 	}
-	stepY := func() {
-		for y != dy {
-			if dy > y {
-				y++
-			} else {
-				y--
-			}
-			p = append(p, [2]int{x, y})
+	p = append(p[:0], [2]int{sx, sy})
+	for _, to := range [2][2]int{corner, {dx, dy}} {
+		for c := p[len(p)-1]; c != to; {
+			c[0] += cmp.Compare(to[0], c[0])
+			c[1] += cmp.Compare(to[1], c[1])
+			p = append(p, c)
 		}
-	}
-	if bend%2 == 0 {
-		stepX()
-		stepY()
-	} else {
-		stepY()
-		stepX()
 	}
 	return p
 }
@@ -128,6 +112,7 @@ func (w *Labyrinth) Run(t *sim.Thread) {
 	// labyrinth's absolute conflict counts are tiny and noisy, as the
 	// paper remarks (§V-B).
 	var routed uint64
+	path := make([][2]int, 0, 2*w.dim) // holds any route: dim-1 steps each way, plus the start
 	for r := 0; r < w.routes; r++ {
 		req := t.Load(w.queue.Rec(t.ID()*w.routes+r), 8)
 		sx, sy := int(req>>48&0xffff), int(req>>32&0xffff)
@@ -138,7 +123,7 @@ func (w *Labyrinth) Run(t *sim.Thread) {
 			// Expansion over a private snapshot: long non-transactional
 			// phase. Reads of the grid here are coherent but non-
 			// speculative (STAMP labyrinth memcpy's the grid).
-			path := lPath(sx, sy, dx, dy, attempt)
+			path = lPath(path, sx, sy, dx, dy, attempt)
 			blocked := false
 			for _, c := range path {
 				if v := t.Load(w.cell(c[0], c[1]), 4); v != 0 && v != routeID {

@@ -96,7 +96,7 @@ func TestLPathGeometry(t *testing.T) {
 		{5, 5, 5, 5, 0, 1}, // degenerate: single cell
 		{3, 3, 0, 0, 0, 7}, // negative direction
 	} {
-		p := lPath(c.sx, c.sy, c.dx, c.dy, c.bend)
+		p := lPath(nil, c.sx, c.sy, c.dx, c.dy, c.bend)
 		if len(p) != c.wantLen {
 			t.Errorf("lPath(%d,%d→%d,%d bend %d) length %d, want %d",
 				c.sx, c.sy, c.dx, c.dy, c.bend, len(p), c.wantLen)

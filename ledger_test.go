@@ -31,10 +31,30 @@ type ledgerCell struct {
 	spec  harness.CellSpec
 }
 
+// smallLedgerCells are the ledger's ScaleSmall (workload, detection,
+// seed) combos, spread over every detection family; they are
+// TestNeutralRobustnessIsBitIdentical's cells.
+var smallLedgerCells = []struct {
+	workload  string
+	detection asfsim.Detection
+	seed      uint64
+}{
+	{"kmeans", asfsim.DetectBaseline, 1},
+	{"kmeans", asfsim.DetectSubBlock4, 1},
+	{"vacation", asfsim.DetectBaseline, 2},
+	{"intruder", asfsim.DetectSubBlock8, 3},
+	{"ssca2", asfsim.DetectSignature, 1},
+	{"labyrinth", asfsim.DetectWAROnly, 1},
+	{"genome", asfsim.DetectSubBlock16, 5},
+	{"scalparc", asfsim.DetectBaseline, 2},
+	{"apriori", asfsim.DetectSubBlock2, 1},
+}
+
 // ledgerCells lists the ledger: every paper workload × every detection
-// system × seeds {1,2,3} at ScaleTiny, plus the golden ScaleSmall combos
-// of TestNeutralRobustnessIsBitIdentical, run with the same passive
-// watchdog window so the ledger also pins the watchdog's tick order.
+// system × seeds {1,2,3} at ScaleTiny, plus smallLedgerCells with every
+// robustness knob set explicitly to its neutral value: zero fault
+// rates, the exponential retry policy and a passive watchdog window
+// (which also pins the watchdog's tick order).
 func ledgerCells() []ledgerCell {
 	var out []ledgerCell
 	for _, wl := range asfsim.Workloads() {
@@ -47,22 +67,20 @@ func ledgerCells() []ledgerCell {
 			}
 		}
 	}
-	for _, g := range goldenRuns {
-		d, err := asfsim.ParseDetection(g.detection)
-		if err != nil {
-			panic(err)
-		}
+	for _, c := range smallLedgerCells {
 		out = append(out, ledgerCell{
-			label: fmt.Sprintf("%s/%s/small/%d/wd100000", g.workload, g.detection, g.seed),
-			spec: harness.CellSpec{Workload: g.workload, Detection: d, Scale: asfsim.ScaleSmall, Seed: g.seed,
+			label: fmt.Sprintf("%s/%s/small/%d/wd100000", c.workload, c.detection, c.seed),
+			spec: harness.CellSpec{Workload: c.workload, Detection: c.detection, Scale: asfsim.ScaleSmall, Seed: c.seed,
+				Fault:    asfsim.FaultConfig{},
+				Retry:    asfsim.RetryConfig{Kind: asfsim.RetryExponential},
 				Watchdog: asfsim.WatchdogConfig{Window: 100_000}},
 		})
 	}
 	return out
 }
 
-// shortLedgerCells is the -short subset: seed 1 of the tiny cells and the
-// golden combos TestNeutralRobustnessIsBitIdentical keeps under -short.
+// shortLedgerCells is the -short subset: seed 1 of the tiny cells and
+// four of the small ones, skipping the two slowest (kmeans).
 func shortLedgerCells() []ledgerCell {
 	var out []ledgerCell
 	small := 0
@@ -82,7 +100,7 @@ func shortLedgerCells() []ledgerCell {
 
 // localDigest runs c in-process and digests its canonical result bytes,
 // the bytes asfd caches and serves.
-func localDigest(t *testing.T, c ledgerCell) string {
+func localDigest(t *testing.T, c ledgerCell) (string, *stats.Run) {
 	t.Helper()
 	r, err := harness.RunCell(c.spec, nil)
 	if err != nil {
@@ -92,7 +110,7 @@ func localDigest(t *testing.T, c ledgerCell) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return service.ResultDigest(b)
+	return service.ResultDigest(b), r
 }
 
 func loadLedger(t *testing.T) map[string]string {
@@ -108,16 +126,17 @@ func loadLedger(t *testing.T) map[string]string {
 	return ledger
 }
 
-// TestDigestLedger checks every ledger cell's result bytes against the
-// committed digest, locally and — for the -short subset — through an
-// in-process asfd, which must serve the same bytes. Any mismatch is a
+// TestDigestLedger checks the ledger's ScaleTiny cells' result bytes
+// against the committed digests locally (the ScaleSmall ones are
+// TestNeutralRobustnessIsBitIdentical's), and the -short subset through
+// an in-process asfd, which must serve the same bytes. Any mismatch is a
 // result change. Only -regen rewrites the ledger.
 func TestDigestLedger(t *testing.T) {
 	if *regenLedger {
 		cells := ledgerCells()
 		ledger := make(map[string]string, len(cells))
 		for _, c := range cells {
-			ledger[c.label] = localDigest(t, c)
+			ledger[c.label], _ = localDigest(t, c)
 		}
 		data, err := json.MarshalIndent(ledger, "", " ")
 		if err != nil {
@@ -139,7 +158,10 @@ func TestDigestLedger(t *testing.T) {
 		cells = shortLedgerCells()
 	}
 	for _, c := range cells {
-		if got := localDigest(t, c); got != ledger[c.label] {
+		if c.spec.Scale != asfsim.ScaleTiny {
+			continue
+		}
+		if got, _ := localDigest(t, c); got != ledger[c.label] {
 			t.Errorf("%s: local digest %.12s, ledger %.12s", c.label, got, ledger[c.label])
 		}
 	}
@@ -184,6 +206,35 @@ func TestDigestLedger(t *testing.T) {
 	}
 }
 
+// TestNeutralRobustnessIsBitIdentical runs the ledger's ScaleSmall
+// cells, whose specs set every robustness knob to its neutral value, and
+// requires their ledger digests and no robustness activity: no spurious
+// aborts, no early fallbacks, no watchdog boosts. Any drift means the
+// fault/retry/watchdog subsystem perturbed a run it was configured to
+// stay out of.
+func TestNeutralRobustnessIsBitIdentical(t *testing.T) {
+	ledger := loadLedger(t)
+	cells := ledgerCells()
+	if testing.Short() {
+		cells = shortLedgerCells()
+	}
+	for _, c := range cells {
+		if c.spec.Scale != asfsim.ScaleSmall {
+			continue
+		}
+		t.Run(fmt.Sprintf("%s-%s-seed%d", c.spec.Workload, c.spec.Detection, c.spec.Seed), func(t *testing.T) {
+			got, r := localDigest(t, c)
+			if got != ledger[c.label] {
+				t.Errorf("%s: local digest %.12s, ledger %.12s", c.label, got, ledger[c.label])
+			}
+			if r.SpuriousAborts != 0 || r.FallbacksEarly != 0 || r.WatchdogBoosts != 0 {
+				t.Errorf("neutral config produced robustness activity: spurious=%d early=%d boosts=%d",
+					r.SpuriousAborts, r.FallbacksEarly, r.WatchdogBoosts)
+			}
+		})
+	}
+}
+
 // TestResultsIndependentOfHostScheduler runs the ledger's ScaleTiny cells
 // under one and under four OS threads: simulated threads hand control to
 // each other directly, so the Go scheduler's choices must never reach a
@@ -201,7 +252,7 @@ func TestResultsIndependentOfHostScheduler(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		var bad []string
 		for _, c := range tiny {
-			if got := localDigest(t, c); got != ledger[c.label] {
+			if got, _ := localDigest(t, c); got != ledger[c.label] {
 				bad = append(bad, c.label)
 			}
 		}
