@@ -155,6 +155,10 @@ type Policy interface {
 	// NoteFallback informs the policy that the block ran under the
 	// serial lock, letting adaptive state cool down.
 	NoteFallback()
+	// Reset rewinds the policy to the state New built it in, keeping its
+	// configuration and rng, so one policy serves run after run of a
+	// reused thread.
+	Reset()
 }
 
 // New builds the configured policy drawing jitter from r. The Exponential
@@ -225,6 +229,7 @@ func (p *exponential) Delay(r int) int64 { return p.bo.Delay(r) }
 func (p *exponential) NoteAbort()        {}
 func (p *exponential) NoteCommit()       {}
 func (p *exponential) NoteFallback()     {}
+func (p *exponential) Reset()            {}
 func (p *exponential) Fallback(r int) (bool, bool) {
 	return r > p.maxRetries, false
 }
@@ -242,6 +247,7 @@ func (p *immediate) Delay(int) int64 { return 0 }
 func (p *immediate) NoteAbort()      {}
 func (p *immediate) NoteCommit()     {}
 func (p *immediate) NoteFallback()   {}
+func (p *immediate) Reset()          {}
 func (p *immediate) Fallback(r int) (bool, bool) {
 	return r > p.maxRetries, false
 }
@@ -260,6 +266,7 @@ func (p *linear) Name() string  { return "linear" }
 func (p *linear) NoteAbort()    {}
 func (p *linear) NoteCommit()   {}
 func (p *linear) NoteFallback() {}
+func (p *linear) Reset()        {}
 
 func (p *linear) Delay(retries int) int64 {
 	if retries <= 0 {
@@ -325,6 +332,8 @@ func (p *adaptive) NoteFallback() {
 	p.consecutive = 0
 	p.rate /= 2
 }
+
+func (p *adaptive) Reset() { p.consecutive, p.attempts, p.rate = 0, 0, 0 }
 
 func (p *adaptive) Fallback(r int) (bool, bool) {
 	if r > p.maxRetries {

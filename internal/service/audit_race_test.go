@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// TestScrubRaceWithEviction hammers a small LRU with fresh entries —
+// TestScrubRaceWithEviction hammers a small cache with fresh entries —
 // every Put past capacity evicts — while scrub passes walk the same
 // cache. The invariant under -race: an entry that vanishes between the
 // walk's key capture and its verification is VerifyMissing, never

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -38,42 +37,102 @@ func ResultDigest(result []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Cache is a bounded LRU of cell results, safe for concurrent use. The
-// server persists it as done records in a compacted log segment (the
-// cache snapshot), so a restarted asfd keeps its accumulated results.
+// Cache is a bounded two-segment LRU of cell results, safe for
+// concurrent use. A stored entry starts in probation; its first hit
+// moves it to protected, which holds at most 4/5 of the bound and hands
+// its least recently used entry back to the head of probation when over
+// it. Eviction takes probation's least recently used entry. So a stream
+// of one-off cells churns probation and never pushes out an entry that
+// was asked for again, while probation keeps at least a fifth of the
+// bound: room for a whole default paperfigs sweep between its Put and
+// its re-read. The server persists it as done records in a compacted
+// log segment (the cache snapshot), so a restarted asfd keeps its
+// accumulated results.
 type Cache struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List // front = most recently used; values are *CacheEntry
-	byKey map[string]*list.Element
+	mu        sync.Mutex
+	max       int
+	protMax   int // protected's bound: 4/5 of max
+	probation segment
+	protected segment
+	byKey     map[string]*cacheNode
 
 	hits, misses, evictions uint64
 }
+
+// cacheNode is one entry's place in its segment's recency ring.
+type cacheNode struct {
+	e          *CacheEntry
+	prev, next *cacheNode
+	protected  bool
+}
+
+// segment is a recency ring around a sentinel: root.next is the most
+// recently used entry, root.prev the least.
+type segment struct {
+	root cacheNode
+	n    int
+}
+
+func (s *segment) init() { s.root.prev, s.root.next = &s.root, &s.root }
+
+func (s *segment) pushFront(n *cacheNode) {
+	n.prev, n.next = &s.root, s.root.next
+	n.prev.next, n.next.prev = n, n
+	s.n++
+}
+
+func (s *segment) remove(n *cacheNode) {
+	n.prev.next, n.next.prev = n.next, n.prev
+	n.prev, n.next = nil, nil
+	s.n--
+}
+
+// back returns the least recently used node of a non-empty segment.
+func (s *segment) back() *cacheNode { return s.root.prev }
 
 // NewCache returns a cache bounded to max entries (max <= 0 means 1024).
 func NewCache(max int) *Cache {
 	if max <= 0 {
 		max = 1024
 	}
-	return &Cache{
-		max:   max,
-		ll:    list.New(),
-		byKey: make(map[string]*list.Element),
+	c := &Cache{
+		max:     max,
+		protMax: max * 4 / 5,
+		byKey:   make(map[string]*cacheNode),
 	}
+	c.probation.init()
+	c.protected.init()
+	return c
 }
 
-// Get returns the cached result for key, marking it most recently used.
+func (c *Cache) segmentOf(n *cacheNode) *segment {
+	if n.protected {
+		return &c.protected
+	}
+	return &c.probation
+}
+
+// Get returns the cached result for key, making it the most recently
+// used entry of protected.
 func (c *Cache) Get(key string) (*CacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
+	n, ok := c.byKey[key]
 	if !ok {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*CacheEntry), true
+	c.segmentOf(n).remove(n)
+	n.protected = true
+	c.protected.pushFront(n)
+	if c.protected.n > c.protMax {
+		d := c.protected.back()
+		c.protected.remove(d)
+		d.protected = false
+		c.probation.pushFront(d)
+	}
+	return n.e, true
 }
 
 // peek returns the entry for key without touching the hit/miss counters
@@ -83,34 +142,40 @@ func (c *Cache) Get(key string) (*CacheEntry, bool) {
 func (c *Cache) peek(key string) (*CacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
+	n, ok := c.byKey[key]
 	if !ok {
 		return nil, false
 	}
-	return el.Value.(*CacheEntry), true
+	return n.e, true
 }
 
-// Put stores a result under its key, evicting the least recently used
-// entry when full. A duplicate key refreshes recency but keeps the FIRST
-// stored bytes: results are deterministic, so a second computation of
-// the same cell is bit-identical by contract, and keeping the original
-// makes that contract observable (tests compare served bytes across
-// submissions).
+// Put stores a result at the head of probation, evicting probation's
+// least recently used entry when full. A duplicate key refreshes recency
+// within its segment but keeps the FIRST stored bytes: results are
+// deterministic, so a second computation of the same cell is
+// bit-identical by contract, and keeping the original makes that
+// contract observable (tests compare served bytes across submissions).
 func (c *Cache) Put(e *CacheEntry) {
 	if e.Digest == "" {
 		e.Digest = ResultDigest(e.Result)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[e.Key]; ok {
-		c.ll.MoveToFront(el)
+	if n, ok := c.byKey[e.Key]; ok {
+		s := c.segmentOf(n)
+		s.remove(n)
+		s.pushFront(n)
 		return
 	}
-	c.byKey[e.Key] = c.ll.PushFront(e)
-	for c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*CacheEntry).Key)
+	n := &cacheNode{e: e}
+	c.byKey[e.Key] = n
+	c.probation.pushFront(n)
+	// Protected stays below max, so an overfull cache has a victim in
+	// probation.
+	for len(c.byKey) > c.max {
+		victim := c.probation.back()
+		c.probation.remove(victim)
+		delete(c.byKey, victim.e.Key)
 		c.evictions++
 	}
 }
@@ -123,11 +188,11 @@ func (c *Cache) Remove(key string) bool {
 }
 
 func (c *Cache) removeLocked(key string) bool {
-	el, ok := c.byKey[key]
+	n, ok := c.byKey[key]
 	if !ok {
 		return false
 	}
-	c.ll.Remove(el)
+	c.segmentOf(n).remove(n)
 	delete(c.byKey, key)
 	return true
 }
@@ -154,11 +219,11 @@ const (
 func (c *Cache) VerifyEntry(key string) (CacheEntry, int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
+	n, ok := c.byKey[key]
 	if !ok {
 		return CacheEntry{}, VerifyMissing
 	}
-	e := el.Value.(*CacheEntry)
+	e := n.e
 	if e.Digest == "" || ResultDigest(e.Result) == e.Digest {
 		return *e, VerifyOK
 	}
@@ -166,28 +231,35 @@ func (c *Cache) VerifyEntry(key string) (CacheEntry, int) {
 	return *e, VerifyCorrupt
 }
 
-// Keys returns the content addresses of every cached entry, most
-// recently used first. The fleet soak test diffs key sets across server
+// Keys returns the content addresses of every cached entry: protected
+// from most to least recently used, then probation in the same
+// direction. The fleet soak test diffs key sets across server
 // incarnations to account for every simulated cycle exactly.
 func (c *Cache) Keys() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]string, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*CacheEntry).Key)
+	out := make([]string, 0, len(c.byKey))
+	for _, s := range [...]*segment{&c.protected, &c.probation} {
+		for n := s.root.next; n != &s.root; n = n.next {
+			out = append(out, n.e.Key)
+		}
 	}
 	return out
 }
 
-// Entries returns a copy of every cached entry, least recently used
-// first (the order segments are written in, so a reload or a replication
-// sync rebuilds the same LRU order).
+// Entries returns a copy of every cached entry: probation from least to
+// most recently used, then protected in the same direction. Snapshots
+// and checkpoints list done records in this order and a reload Puts
+// every entry into probation in it, so the reloaded cache lists the
+// same Keys.
 func (c *Cache) Entries() []CacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]CacheEntry, 0, c.ll.Len())
-	for el := c.ll.Back(); el != nil; el = el.Prev() {
-		out = append(out, *el.Value.(*CacheEntry))
+	out := make([]CacheEntry, 0, len(c.byKey))
+	for _, s := range [...]*segment{&c.probation, &c.protected} {
+		for n := s.root.prev; n != &s.root; n = n.prev {
+			out = append(out, *n.e)
+		}
 	}
 	return out
 }
@@ -196,7 +268,7 @@ func (c *Cache) Entries() []CacheEntry {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return len(c.byKey)
 }
 
 // Counters returns the hit/miss/eviction totals.

@@ -377,7 +377,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	resp := SubmitResponse{Jobs: []JobView{}}
 	for _, spec := range specs {
-		job, err := s.SubmitJob(spec, opts)
+		_, view, err := s.SubmitJob(spec, opts)
 		if err != nil {
 			status := submitErrorStatus(err)
 			resp.Error = err.Error()
@@ -388,7 +388,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, status, resp)
 			return
 		}
-		view, _ := s.Lookup(job.ID)
 		resp.Jobs = append(resp.Jobs, view)
 	}
 	start := time.Now()

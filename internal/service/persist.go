@@ -229,8 +229,8 @@ func (s *Server) Persist() error {
 }
 
 // segmentLocked assembles a compacted segment of the daemon's state: the
-// checkpoint header, a done record per cache entry (least recently used
-// first, so a reload rebuilds the LRU order), a submitted record per
+// checkpoint header, a done record per cache entry (in Cache.Entries
+// order, so a reload lists the same Cache.Keys), a submitted record per
 // live job when jobs is set, and the trailer. The sequence number is read
 // first, so a record appended while the entries are gathered is both in
 // the segment and after its checkpoint — applying it twice is

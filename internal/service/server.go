@@ -602,15 +602,18 @@ type SubmitOpts struct {
 // returned job is live: wait on Done, then read the terminal state via
 // Lookup or MatrixCell assembly under the server's accessors.
 func (s *Server) Submit(spec harness.CellSpec) (*Job, error) {
-	return s.SubmitJob(spec, SubmitOpts{})
+	job, _, err := s.SubmitJob(spec, SubmitOpts{})
+	return job, err
 }
 
 // SubmitJob is Submit with explicit serving options (priority class and
-// propagated deadline).
-func (s *Server) SubmitJob(spec harness.CellSpec, opts SubmitOpts) (*Job, error) {
+// propagated deadline). It also returns the job's view as of its
+// submission, built under the lock that registers the job, so a caller
+// answering the submission needs no second acquisition.
+func (s *Server) SubmitJob(spec harness.CellSpec, opts SubmitOpts) (*Job, JobView, error) {
 	admStart := time.Now()
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return nil, JobView{}, err
 	}
 	if opts.Priority == "" {
 		opts.Priority = PriorityInteractive
@@ -620,7 +623,7 @@ func (s *Server) SubmitJob(spec harness.CellSpec, opts SubmitOpts) (*Job, error)
 	if !s.breaker.allow(key) {
 		s.metrics.incBreakerRejected()
 		s.admitted(opts.Trace, admStart, "rejected-poisoned", "")
-		return nil, fmt.Errorf("%w (key %s)", ErrKeyPoisoned, key)
+		return nil, JobView{}, fmt.Errorf("%w (key %s)", ErrKeyPoisoned, key)
 	}
 
 	s.mu.Lock()
@@ -628,7 +631,7 @@ func (s *Server) SubmitJob(spec harness.CellSpec, opts SubmitOpts) (*Job, error)
 	if s.draining {
 		s.metrics.incRejected()
 		s.admitted(opts.Trace, admStart, "rejected-draining", "")
-		return nil, ErrDraining
+		return nil, JobView{}, ErrDraining
 	}
 	if s.following {
 		// A warm standby executes nothing and must not fork history from
@@ -636,7 +639,7 @@ func (s *Server) SubmitJob(spec harness.CellSpec, opts SubmitOpts) (*Job, error)
 		// endpoint.
 		s.metrics.incRejected()
 		s.admitted(opts.Trace, admStart, "rejected-following", "")
-		return nil, ErrFollowing
+		return nil, JobView{}, ErrFollowing
 	}
 	job := &Job{
 		ID:          fmt.Sprintf("job-%06d", s.nextID),
@@ -686,7 +689,7 @@ func (s *Server) SubmitJob(spec harness.CellSpec, opts SubmitOpts) (*Job, error)
 		// restart; a client that polls it there gets 404 and resubmits,
 		// which is another free hit.
 		s.admitted(opts.Trace, admStart, "cache-hit", job.ID)
-		return job, nil
+		return job, s.viewLocked(job), nil
 	}
 
 	// A dead-on-arrival deadline is shed before any queue or admission
@@ -697,7 +700,7 @@ func (s *Server) SubmitJob(spec harness.CellSpec, opts SubmitOpts) (*Job, error)
 		s.metrics.incShedExpired()
 		s.metrics.incRejected()
 		s.admitted(opts.Trace, admStart, "rejected-expired", "")
-		return nil, fmt.Errorf("%w (deadline %s)", ErrDeadlineExpired, job.Deadline.Format(time.RFC3339Nano))
+		return nil, JobView{}, fmt.Errorf("%w (deadline %s)", ErrDeadlineExpired, job.Deadline.Format(time.RFC3339Nano))
 	}
 
 	// Adaptive admission: shed when the jobs in the system (queued +
@@ -707,7 +710,7 @@ func (s *Server) SubmitJob(spec harness.CellSpec, opts SubmitOpts) (*Job, error)
 		s.metrics.incShedOverload()
 		s.metrics.incRejected()
 		s.admitted(opts.Trace, admStart, "rejected-overload", "")
-		return nil, fmt.Errorf("%w (limit %d, priority %s)", ErrOverloaded, s.adm.Limit(), job.Priority)
+		return nil, JobView{}, fmt.Errorf("%w (limit %d, priority %s)", ErrOverloaded, s.adm.Limit(), job.Priority)
 	}
 
 	// Backpressure against the configured bound, not the channel
@@ -715,7 +718,7 @@ func (s *Server) SubmitJob(spec harness.CellSpec, opts SubmitOpts) (*Job, error)
 	if len(s.queue) >= s.cfg.QueueDepth {
 		s.metrics.incRejected()
 		s.admitted(opts.Trace, admStart, "rejected-queue-full", "")
-		return nil, ErrQueueFull
+		return nil, JobView{}, ErrQueueFull
 	}
 	s.nextID++
 	job.State = JobQueued
@@ -731,12 +734,12 @@ func (s *Server) SubmitJob(spec harness.CellSpec, opts SubmitOpts) (*Job, error)
 		// which is idempotent.
 		s.metrics.incRejected()
 		s.admitted(opts.Trace, admStart, "rejected-queue-full", "")
-		return nil, ErrQueueFull
+		return nil, JobView{}, ErrQueueFull
 	}
 	s.registerLocked(job)
 	s.metrics.incSubmitted()
 	s.admitted(opts.Trace, admStart, "queued", job.ID)
-	return job, nil
+	return job, s.viewLocked(job), nil
 }
 
 // admitted closes out the admission stage: wall time into the

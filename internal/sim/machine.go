@@ -603,7 +603,11 @@ func (m *Machine) Execute(w Workload) (*stats.Run, error) {
 		// from the parent stream, so an unconditional fork would shift
 		// every fault-free run.
 		t.rng.ForkInto(t.policyRand, 0xb0ff)
-		t.policy = retry.New(rc, t.policyRand)
+		if t.policy == nil || t.policyCfg != rc {
+			t.policy, t.policyCfg = retry.New(rc, t.policyRand), rc
+		} else {
+			t.policy.Reset()
+		}
 		t.fault = nil
 		if m.cfg.Fault.Enabled() {
 			t.rng.ForkInto(t.faultRand, 0xfa17)

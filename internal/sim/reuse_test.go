@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/retry"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -136,6 +137,29 @@ func TestMachineReuseIsClean(t *testing.T) {
 	again := runReused(t, m, specs[0])
 	if !reflect.DeepEqual(again, fresh[0]) {
 		t.Errorf("second reuse of %s diverged from fresh run", specs[0].name)
+	}
+}
+
+// TestReusedPolicyIsRewound runs an adaptive-policy spec twice on one
+// machine. Under an unchanged config each thread keeps its policy from
+// run to run, so the policy's abort streak and decayed abort rate must
+// be rewound, not carried into the next run.
+func TestReusedPolicyIsRewound(t *testing.T) {
+	cfg := baseCfg(13)
+	cfg.Retry = retry.Config{Kind: retry.AdaptiveSerialize, SerializeAfter: 3, DemoteMinAttempts: 100, DemoteAbortRate: 0.25}
+	s := runSpec{"adaptive-intruder", "intruder", cfg}
+	fresh := runFresh(t, s)
+	if fresh.FallbacksEarly == 0 {
+		t.Fatal("the adaptive policy never demoted; the spec does not exercise its state")
+	}
+	m, err := sim.NewMachine(s.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if got := runReused(t, m, s); !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("run %d on one machine diverged from a fresh machine", i+1)
+		}
 	}
 }
 

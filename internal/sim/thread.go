@@ -24,6 +24,10 @@ type Thread struct {
 	policy retry.Policy
 	fault  *fault.Injector // nil unless fault injection is enabled
 
+	// policyCfg is the config policy was built from: a run under the
+	// same config rewinds policy instead of building another.
+	policyCfg retry.Config
+
 	// policyRand and faultRand are the persistent backing stores for the
 	// retry policy's and fault injector's rng streams, reseeded in place at
 	// each Execute so a reused thread draws exactly a fresh thread's
